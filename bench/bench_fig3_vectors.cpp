@@ -11,11 +11,11 @@
 using namespace aequus;
 
 namespace {
-void print_node(const core::FairshareTree::Node& node, const std::string& path, int depth) {
+void print_node(const core::FairshareSnapshot::Node& node, const std::string& path, int depth) {
   std::printf("%*s%-12s policy %.3f  usage %.3f  distance %+.4f\n", depth * 2, "",
               node.name.c_str(), node.policy_share, node.usage_share, node.distance);
   for (const auto& child : node.children) {
-    print_node(child, path + "/" + child.name, depth + 1);
+    print_node(*child, path + "/" + child->name, depth + 1);
   }
 }
 }  // namespace
@@ -42,18 +42,18 @@ int main() {
   usage.add("/LQ", 200.0);
 
   const core::FairshareAlgorithm algorithm;  // k = 0.5, resolution 10000
-  const core::FairshareTree tree =
+  const core::FairshareSnapshotPtr tree =
       core::FairshareEngine::compute_once(algorithm.config(), policy, usage);
 
   std::printf("annotated fairshare tree (policy/usage shares sibling-normalized):\n\n");
-  print_node(tree.root(), "", 0);
+  print_node(tree->root(), "", 0);
 
   std::printf("\nextracted fairshare vectors (range 0-9999, balance point 5000):\n\n");
   util::Table table({"Path", "Vector", "Depth", "Padded"});
-  for (const auto& path : tree.user_paths()) {
-    const auto vector = tree.vector_for(path);
+  for (const auto& path : tree->user_paths()) {
+    const auto vector = tree->vector_for(path);
     const bool padded = core::split_path(path).size() <
-                        static_cast<std::size_t>(tree.depth());
+                        static_cast<std::size_t>(tree->depth());
     table.add_row({path, vector->to_string(), util::format("%zu", vector->depth()),
                    padded ? "yes (balance point)" : "no"});
   }
@@ -61,10 +61,10 @@ int main() {
 
   std::printf("projections of the same tree:\n\n");
   util::Table proj({"Path", "Dictionary", "Bitwise(8)", "Percental"});
-  const auto dict = core::project(tree, {core::ProjectionKind::kDictionaryOrdering, 8});
-  const auto bits = core::project(tree, {core::ProjectionKind::kBitwiseVector, 8});
-  const auto perc = core::project(tree, {core::ProjectionKind::kPercental, 8});
-  for (const auto& path : tree.user_paths()) {
+  const auto dict = core::project(*tree, {core::ProjectionKind::kDictionaryOrdering, 8});
+  const auto bits = core::project(*tree, {core::ProjectionKind::kBitwiseVector, 8});
+  const auto perc = core::project(*tree, {core::ProjectionKind::kPercental, 8});
+  for (const auto& path : tree->user_paths()) {
     proj.add_row({path, util::format("%.4f", dict.at(path)),
                   util::format("%.4f", bits.at(path)),
                   util::format("%.4f", perc.at(path))});

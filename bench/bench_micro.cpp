@@ -38,7 +38,7 @@ core::UsageTree usage_for(int users, util::Rng& rng) {
   return usage;
 }
 
-void BM_FairshareTreeCompute(benchmark::State& state) {
+void BM_ComputeOnce(benchmark::State& state) {
   const auto users = static_cast<int>(state.range(0));
   util::Rng rng(1);
   const core::PolicyTree policy = flat_policy(users);
@@ -50,11 +50,11 @@ void BM_FairshareTreeCompute(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * users);
 }
-BENCHMARK(BM_FairshareTreeCompute)->Arg(16)->Arg(256)->Arg(2048);
+BENCHMARK(BM_ComputeOnce)->Arg(16)->Arg(256)->Arg(2048);
 
 void BM_FairshareEngineDelta(benchmark::State& state) {
   // One usage delta + snapshot publish through the incremental engine —
-  // the per-update cost that replaced BM_FairshareTreeCompute's
+  // the per-update cost that replaced BM_ComputeOnce's
   // whole-tree recompute in the FCS pre-calculation loop.
   const auto users = static_cast<int>(state.range(0));
   util::Rng rng(1);
@@ -77,9 +77,9 @@ void BM_Projection(benchmark::State& state) {
   util::Rng rng(1);
   const core::PolicyTree policy = flat_policy(512);
   const core::UsageTree usage = usage_for(512, rng);
-  const core::FairshareTree tree = core::FairshareEngine::compute_once({}, policy, usage);
+  const core::FairshareSnapshotPtr tree = core::FairshareEngine::compute_once({}, policy, usage);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::project(tree, {kind, 8}));
+    benchmark::DoNotOptimize(core::project(*tree, {kind, 8}));
   }
   state.SetItemsProcessed(state.iterations() * 512);
 }

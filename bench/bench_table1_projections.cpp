@@ -23,20 +23,19 @@
 namespace {
 
 using namespace aequus;
-using core::FairshareAlgorithm;
-using core::FairshareTree;
+using core::FairshareSnapshot;
 using core::PolicyTree;
 using core::ProjectionConfig;
 using core::ProjectionKind;
 using core::UsageTree;
 
-FairshareTree compute(const std::map<std::string, double>& shares,
-                      const std::map<std::string, double>& usage_amounts) {
+FairshareSnapshot compute(const std::map<std::string, double>& shares,
+                          const std::map<std::string, double>& usage_amounts) {
   PolicyTree policy;
   for (const auto& [path, share] : shares) policy.set_share(path, share);
   UsageTree usage;
   for (const auto& [path, amount] : usage_amounts) usage.add(path, amount);
-  return FairshareEngine::compute_once({}, policy, usage);
+  return *core::FairshareEngine::compute_once({}, policy, usage);
 }
 
 struct Probe {
@@ -46,12 +45,12 @@ struct Probe {
   bool percental = false;
 };
 
-double value_of(const FairshareTree& tree, ProjectionKind kind, const std::string& path) {
+double value_of(const FairshareSnapshot& tree, ProjectionKind kind, const std::string& path) {
   return core::project(tree, ProjectionConfig{kind, 8}).at(path);
 }
 
 /// A difference must exist between users u1 and u2 for the property to hold.
-Probe probe_distinguishes(const FairshareTree& tree, const std::string& u1,
+Probe probe_distinguishes(const FairshareSnapshot& tree, const std::string& u1,
                           const std::string& u2) {
   Probe result;
   result.vectors =
@@ -99,8 +98,8 @@ Probe probe_isolation() {
       {"/A/u1", 70.0}, {"/A/u2", 30.0}, {"/B/u3", 150.0}};
   const std::map<std::string, double> usage_after = {
       {"/A/u1", 70.0}, {"/A/u2", 30.0}, {"/B/u3", 900.0}};
-  const FairshareTree before = compute(shares, usage_before);
-  const FairshareTree after = compute(shares, usage_after);
+  const FairshareSnapshot before = compute(shares, usage_before);
+  const FairshareSnapshot after = compute(shares, usage_after);
 
   const auto order_preserved = [&](ProjectionKind kind) {
     const bool was_greater = value_of(before, kind, "/A/u1") > value_of(before, kind, "/A/u2");
@@ -127,7 +126,7 @@ Probe probe_proportional() {
   // Usage shares 0.1 / 0.3 / 0.6 around policy 1/3: distances roughly
   // d1 > d2 > d3 with (d1-d2)/(d2-d3) fixed by construction.
   const std::map<std::string, double> usage = {{"/u1", 10.0}, {"/u2", 30.0}, {"/u3", 60.0}};
-  const FairshareTree tree = compute(shares, usage);
+  const FairshareSnapshot tree = compute(shares, usage);
 
   const double d1 = tree.find("/u1")->distance;
   const double d2 = tree.find("/u2")->distance;

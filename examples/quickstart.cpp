@@ -36,17 +36,17 @@ int main() {
   // 3. Fairshare: k weighs the relative vs absolute distance metrics
   //    (paper default 0.5); resolution sets the vector encoding range.
   const FairshareConfig fairshare{0.5, kDefaultResolution};
-  const FairshareTree tree = FairshareEngine::compute_once(fairshare, policy, usage);
+  const FairshareSnapshotPtr tree = FairshareEngine::compute_once(fairshare, policy, usage);
 
   // 4. Vectors: one element per hierarchy level, balance point = 5000.
   std::printf("fairshare vectors (0-9999, balance 5000):\n");
-  for (const auto& path : tree.user_paths()) {
-    std::printf("  %-22s %s\n", path.c_str(), tree.vector_for(path)->to_string().c_str());
+  for (const auto& path : tree->user_paths()) {
+    std::printf("  %-22s %s\n", path.c_str(), tree->vector_for(path)->to_string().c_str());
   }
 
   // 5. Projection: percental (the production configuration).
   std::printf("\npercental priority factors (0.5 = perfectly balanced):\n");
-  for (const auto& [path, value] : project(tree, {ProjectionKind::kPercental, 8})) {
+  for (const auto& [path, value] : project(*tree, {ProjectionKind::kPercental, 8})) {
     std::printf("  %-22s %.4f\n", path.c_str(), value);
   }
 

@@ -333,12 +333,13 @@ FairshareSnapshotPtr FairshareEngine::snapshot() {
   return current();
 }
 
-FairshareTree FairshareEngine::compute_once(const FairshareConfig& config,
-                                            const PolicyTree& policy, const UsageTree& usage) {
+FairshareSnapshotPtr FairshareEngine::compute_once(const FairshareConfig& config,
+                                                   const PolicyTree& policy,
+                                                   const UsageTree& usage) {
   FairshareEngine engine(config);
   engine.set_policy(policy);
   engine.set_usage(usage);
-  return engine.snapshot()->to_tree();
+  return engine.snapshot();
 }
 
 }  // namespace aequus::core

@@ -39,10 +39,11 @@
 // practice.) The engine is single-writer / many-reader.
 //
 // Bit-identity contract: for any sequence of mutations, the published
-// tree is bit-identical to a batch computation (compute_once) over the
-// equivalent policy and (decayed) usage trees — the engine reproduces the
-// batch path's exact floating-point summation orders (the leaf order
-// index in LeafStore preserves the old full-map scan order).
+// tree is bit-identical to the pre-engine whole-tree recursion (frozen as
+// testing::reference_annotate) over the equivalent policy and (decayed)
+// usage trees — the engine reproduces the recursion's exact
+// floating-point summation orders (the leaf order index in LeafStore
+// preserves the old full-map scan order).
 //
 // The engine is also the default "aequus" core::FairnessBackend; the
 // alternative fairness policies in backends.hpp subclass it, reusing the
@@ -129,11 +130,11 @@ class FairshareEngine : public FairnessBackend {
   /// Active usage leaves in the working state (present, value retained).
   [[nodiscard]] std::size_t leaf_count() const noexcept { return leaves_.active_count(); }
 
-  /// One-shot batch computation through a throwaway engine (the
-  /// historical FairshareAlgorithm::compute() semantics).
-  [[nodiscard]] static FairshareTree compute_once(const FairshareConfig& config,
-                                                  const PolicyTree& policy,
-                                                  const UsageTree& usage);
+  /// One-shot annotation of `policy` under `usage`: the first snapshot of
+  /// a throwaway engine.
+  [[nodiscard]] static FairshareSnapshotPtr compute_once(const FairshareConfig& config,
+                                                         const PolicyTree& policy,
+                                                         const UsageTree& usage);
 
  protected:
   /// Re-annotate one dirty sibling group: derive every child's published

@@ -5,118 +5,12 @@
 
 namespace aequus::core {
 
-const FairshareTree::Node* FairshareTree::Node::find_child(const std::string& child_name) const {
-  for (const auto& child : children) {
-    if (child.name == child_name) return &child;
-  }
-  return nullptr;
-}
-
-const FairshareTree::Node* FairshareTree::find(const std::string& path) const {
-  const auto segments = split_path(path);
-  const Node* node = &root_;
-  for (const auto& segment : segments) {
-    node = node->find_child(segment);
-    if (node == nullptr) return nullptr;
-  }
-  return node;
-}
-
-std::optional<FairshareVector> FairshareTree::vector_for(const std::string& path) const {
-  const auto segments = split_path(path);
-  std::vector<double> values;
-  const Node* node = &root_;
-  for (const auto& segment : segments) {
-    node = node->find_child(segment);
-    if (node == nullptr) return std::nullopt;
-    values.push_back(node->distance);
-  }
-  FairshareVector vector(std::move(values), resolution_);
-  return vector.padded_to(static_cast<std::size_t>(depth()));
-}
-
-namespace {
-void collect_leaves(const FairshareTree::Node& node, std::vector<std::string>& prefix,
-                    std::vector<std::string>& out) {
-  if (node.leaf()) {
-    out.push_back(join_path(prefix));
-    return;
-  }
-  for (const auto& child : node.children) {
-    prefix.push_back(child.name);
-    collect_leaves(child, prefix, out);
-    prefix.pop_back();
-  }
-}
-
-int node_depth(const FairshareTree::Node& node) {
-  int deepest = 0;
-  for (const auto& child : node.children) deepest = std::max(deepest, 1 + node_depth(child));
-  return deepest;
-}
-
-json::Value node_to_json(const FairshareTree::Node& node) {
-  json::Object obj;
-  obj["name"] = node.name;
-  obj["policy"] = node.policy_share;
-  obj["usage"] = node.usage_share;
-  obj["distance"] = node.distance;
-  if (!node.children.empty()) {
-    json::Array children;
-    for (const auto& child : node.children) children.push_back(node_to_json(child));
-    obj["children"] = std::move(children);
-  }
-  return json::Value(std::move(obj));
-}
-
-FairshareTree::Node node_from_json(const json::Value& value) {
-  FairshareTree::Node node;
-  node.name = value.get_string("name");
-  node.policy_share = value.get_number("policy");
-  node.usage_share = value.get_number("usage");
-  node.distance = value.get_number("distance");
-  if (const auto children = value.find("children")) {
-    for (const auto& child : children->get().as_array()) {
-      node.children.push_back(node_from_json(child));
-    }
-  }
-  return node;
-}
-}  // namespace
-
-std::vector<std::string> FairshareTree::user_paths() const {
-  std::vector<std::string> out;
-  std::vector<std::string> prefix;
-  if (root_.leaf()) return out;
-  collect_leaves(root_, prefix, out);
-  return out;
-}
-
-int FairshareTree::depth() const {
-  return node_depth(root_);
-}
-
-json::Value FairshareTree::to_json() const {
-  json::Object obj;
-  obj["resolution"] = resolution_;
-  obj["tree"] = node_to_json(root_);
-  return json::Value(std::move(obj));
-}
-
-FairshareTree FairshareTree::from_json(const json::Value& value) {
-  FairshareTree tree;
-  tree.resolution_ = static_cast<int>(value.get_number("resolution", kDefaultResolution));
-  tree.root_ = node_from_json(value.at("tree"));
-  return tree;
-}
-
 json::Value to_json(const FairshareConfig& config) {
   json::Object obj;
   obj["k"] = config.distance_weight_k;
   obj["resolution"] = config.resolution;
   return json::Value(std::move(obj));
 }
-
 
 FairshareAlgorithm::FairshareAlgorithm(FairshareConfig config) : config_(config) {
   if (config_.distance_weight_k < 0.0 || config_.distance_weight_k > 1.0) {

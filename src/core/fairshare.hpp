@@ -15,17 +15,11 @@
 // encoding. With k = 0.5 the maximum distance of a user with share s is
 // 0.5 * (1 + s), reproducing the paper's §IV-A-5 check (0.56 for s=0.12).
 //
-// FairshareEngine::compute_once() walks policy and usage trees together
-// and produces a FairshareTree holding per-node distances, from which
-// per-user fairshare vectors are extracted (§III-C) and projections
-// computed; the incremental engine maintains the same annotation
-// statefully.
+// FairshareEngine (engine.hpp) annotates the policy tree with per-node
+// distances and publishes it as a FairshareSnapshot (snapshot.hpp), from
+// which per-user fairshare vectors are extracted (§III-C) and projections
+// computed.
 #pragma once
-
-#include <map>
-#include <optional>
-#include <string>
-#include <vector>
 
 #include "core/policy.hpp"
 #include "core/usage.hpp"
@@ -50,47 +44,6 @@ struct FairshareConfig {
 /// Config wire format: {"k": 0.5, "resolution": 10000}.
 [[nodiscard]] json::Value to_json(const FairshareConfig& config);
 
-/// Result of the fairshare calculation: the policy tree annotated with
-/// normalized shares, normalized usage, and per-node distances.
-class FairshareTree {
- public:
-  struct Node {
-    std::string name;
-    double policy_share = 0.0;  ///< normalized among siblings
-    double usage_share = 0.0;   ///< normalized among siblings
-    double distance = 0.0;      ///< the per-node fairshare value
-    std::vector<Node> children;
-
-    [[nodiscard]] const Node* find_child(const std::string& child_name) const;
-    [[nodiscard]] bool leaf() const noexcept { return children.empty(); }
-  };
-
-  [[nodiscard]] const Node& root() const noexcept { return root_; }
-  [[nodiscard]] const Node* find(const std::string& path) const;
-
-  /// Per-level distances from root to `path`, padded to the tree depth
-  /// with the balance point. Nullopt for unknown paths.
-  [[nodiscard]] std::optional<FairshareVector> vector_for(const std::string& path) const;
-
-  /// Leaf (user) paths, depth-first.
-  [[nodiscard]] std::vector<std::string> user_paths() const;
-
-  /// Maximum levels below the root.
-  [[nodiscard]] int depth() const;
-
-  [[nodiscard]] int resolution() const noexcept { return resolution_; }
-
-  /// Wire format used by the FCS when serving pre-calculated trees.
-  [[nodiscard]] json::Value to_json() const;
-  [[nodiscard]] static FairshareTree from_json(const json::Value& value);
-
- private:
-  friend class FairshareAlgorithm;
-  friend class FairshareSnapshot;  // FairshareSnapshot::to_tree()
-  Node root_;
-  int resolution_ = kDefaultResolution;
-};
-
 /// The parameterized algorithm; stateless apart from its configuration.
 class FairshareAlgorithm {
  public:
@@ -101,10 +54,6 @@ class FairshareAlgorithm {
 
   /// Distance for a single node given normalized shares.
   [[nodiscard]] double node_distance(double policy_share, double usage_share) const noexcept;
-
-  // The legacy batch compute() wrapper is gone: one-shot annotations go
-  // through FairshareEngine::compute_once(config, policy, usage), and
-  // schedulers read published snapshots via rms::PriorityContext.
 
  private:
   FairshareConfig config_{};
@@ -117,13 +66,3 @@ template <>
 struct aequus::json::Decoder<aequus::core::FairshareConfig> {
   [[nodiscard]] static aequus::core::FairshareConfig decode(const Value& value);
 };
-
-namespace aequus::core {
-
-/// Deprecated spelling of json::decode<FairshareConfig>().
-[[deprecated("use json::decode<core::FairshareConfig>()")]] [[nodiscard]] inline FairshareConfig
-fairshare_config_from_json(const json::Value& value) {
-  return json::decode<FairshareConfig>(value);
-}
-
-}  // namespace aequus::core

@@ -32,13 +32,7 @@ json::Value to_json(const ProjectionConfig& config) {
 
 namespace {
 
-// The projections only need user_paths()/vector_for()/depth()/root() and
-// a find_child()-capable node, so one template body serves both the batch
-// FairshareTree and the engine's FairshareSnapshot — identical arithmetic,
-// identical factors.
-
-template <typename Tree>
-std::map<std::string, double> project_dictionary(const Tree& tree) {
+std::map<std::string, double> project_dictionary(const FairshareSnapshot& tree) {
   struct Entry {
     std::string path;
     FairshareVector vector;
@@ -59,8 +53,7 @@ std::map<std::string, double> project_dictionary(const Tree& tree) {
   return out;
 }
 
-template <typename Tree>
-std::map<std::string, double> project_bitwise(const Tree& tree, int bits_per_level) {
+std::map<std::string, double> project_bitwise(const FairshareSnapshot& tree, int bits_per_level) {
   // A double's 52-bit mantissa bounds the usable depth: extra levels are
   // truncated (the "finite depth" trade-off of Table I).
   const int max_levels = std::max(1, 52 / std::max(bits_per_level, 1));
@@ -172,8 +165,9 @@ std::map<std::string, double> project_bitwise(const Tree& tree, int bits_per_lev
   return out;
 }
 
-template <typename Tree>
-double percental_value_impl(const Tree& tree, const std::string& path) {
+}  // namespace
+
+double percental_value(const FairshareSnapshot& tree, const std::string& path) {
   const auto segments = split_path(path);
   const auto* node = &tree.root();
   double target = 1.0;
@@ -187,43 +181,18 @@ double percental_value_impl(const Tree& tree, const std::string& path) {
   return std::clamp((target - usage + 1.0) / 2.0, 0.0, 1.0);
 }
 
-template <typename Tree>
-std::map<std::string, double> project_percental(const Tree& tree) {
-  std::map<std::string, double> out;
-  for (const auto& path : tree.user_paths()) {
-    out[path] = percental_value_impl(tree, path);
-  }
-  return out;
-}
-
-template <typename Tree>
-std::map<std::string, double> project_impl(const Tree& tree, const ProjectionConfig& config) {
+std::map<std::string, double> project(const FairshareSnapshot& tree,
+                                      const ProjectionConfig& config) {
   switch (config.kind) {
     case ProjectionKind::kDictionaryOrdering: return project_dictionary(tree);
     case ProjectionKind::kBitwiseVector: return project_bitwise(tree, config.bits_per_level);
-    case ProjectionKind::kPercental: return project_percental(tree);
+    case ProjectionKind::kPercental: {
+      std::map<std::string, double> out;
+      for (const auto& path : tree.user_paths()) out[path] = percental_value(tree, path);
+      return out;
+    }
   }
   return {};
-}
-
-}  // namespace
-
-double percental_value(const FairshareTree& tree, const std::string& path) {
-  return percental_value_impl(tree, path);
-}
-
-double percental_value(const FairshareSnapshot& snapshot, const std::string& path) {
-  return percental_value_impl(snapshot, path);
-}
-
-std::map<std::string, double> project(const FairshareTree& tree,
-                                      const ProjectionConfig& config) {
-  return project_impl(tree, config);
-}
-
-std::map<std::string, double> project(const FairshareSnapshot& snapshot,
-                                      const ProjectionConfig& config) {
-  return project_impl(snapshot, config);
 }
 
 }  // namespace aequus::core

@@ -23,7 +23,6 @@
 #include <map>
 #include <string>
 
-#include "core/fairshare.hpp"
 #include "core/snapshot.hpp"
 
 namespace aequus::core {
@@ -43,21 +42,15 @@ struct ProjectionConfig {
 /// Config wire format: {"kind": "percental", "bits_per_level": 8}.
 [[nodiscard]] json::Value to_json(const ProjectionConfig& config);
 
-/// Project every user (leaf) of `tree` to a priority factor in [0, 1].
-[[nodiscard]] std::map<std::string, double> project(const FairshareTree& tree,
-                                                    const ProjectionConfig& config = {});
-
-/// Same projection over an engine-published snapshot; identical factors
-/// for an identical annotated tree (both overloads share one
-/// implementation).
-[[nodiscard]] std::map<std::string, double> project(const FairshareSnapshot& snapshot,
+/// Project every user (leaf) of the annotated tree to a priority factor
+/// in [0, 1].
+[[nodiscard]] std::map<std::string, double> project(const FairshareSnapshot& tree,
                                                     const ProjectionConfig& config = {});
 
 /// Percental projection for a single user path (the other projections are
 /// inherently whole-population operations). Returns 0.5 at perfect
 /// balance; nullopt-free: unknown paths map to the balance point.
-[[nodiscard]] double percental_value(const FairshareTree& tree, const std::string& path);
-[[nodiscard]] double percental_value(const FairshareSnapshot& snapshot, const std::string& path);
+[[nodiscard]] double percental_value(const FairshareSnapshot& tree, const std::string& path);
 
 }  // namespace aequus::core
 
@@ -66,13 +59,3 @@ template <>
 struct aequus::json::Decoder<aequus::core::ProjectionConfig> {
   [[nodiscard]] static aequus::core::ProjectionConfig decode(const Value& value);
 };
-
-namespace aequus::core {
-
-/// Deprecated spelling of json::decode<ProjectionConfig>().
-[[deprecated("use json::decode<core::ProjectionConfig>()")]] [[nodiscard]] inline ProjectionConfig
-projection_config_from_json(const json::Value& value) {
-  return json::decode<ProjectionConfig>(value);
-}
-
-}  // namespace aequus::core

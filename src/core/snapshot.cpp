@@ -60,17 +60,6 @@ int node_depth(const FairshareSnapshot::Node& node) {
   return deepest;
 }
 
-void copy_to_tree(const FairshareSnapshot::Node& from, FairshareTree::Node& to) {
-  to.name = from.name;
-  to.policy_share = from.policy_share;
-  to.usage_share = from.usage_share;
-  to.distance = from.distance;
-  to.children.resize(from.children.size());
-  for (std::size_t i = 0; i < from.children.size(); ++i) {
-    copy_to_tree(*from.children[i], to.children[i]);
-  }
-}
-
 }  // namespace
 
 const FairshareSnapshot::Node* FairshareSnapshot::Node::find_child(
@@ -135,13 +124,6 @@ double FairshareSnapshot::factor_for(const std::string& user) const {
   // Absent leaf (e.g. a user churned in after this generation was cut):
   // the documented neutral resolution, never a priority-zeroing 0.0.
   return kNeutralFactor;
-}
-
-FairshareTree FairshareSnapshot::to_tree() const {
-  FairshareTree tree;
-  tree.resolution_ = resolution_;
-  copy_to_tree(root(), tree.root_);
-  return tree;
 }
 
 json::Value FairshareSnapshot::tree_to_json() const {

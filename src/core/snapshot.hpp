@@ -92,11 +92,8 @@ class FairshareSnapshot {
     return user_factors_;
   }
 
-  /// Deep-copy into the mutable batch representation (compatibility with
-  /// pre-engine call sites).
-  [[nodiscard]] FairshareTree to_tree() const;
-
-  /// Tree portion in the exact wire format of FairshareTree::to_json().
+  /// Tree portion of the wire format, {"resolution":r,"tree":{...}}: the
+  /// FCS `tree` reply.
   [[nodiscard]] json::Value tree_to_json() const;
 
   /// Full wire format: {"generation":g,"resolution":r,"users":{...}} plus

@@ -192,9 +192,13 @@ json::Value Fcs::handle(const json::Value& request) {
     return snapshot_->to_json(request.get_bool("tree", false));
   }
   if (op == "tree") {
-    // Byte-compatible with the pre-engine reply, including the
-    // default-constructed tree served before the first calculation.
-    if (snapshot_ == nullptr) return core::FairshareTree{}.to_json();
+    // Before the first calculation the reply carries one unnamed,
+    // zero-valued node; clients have always seen these bytes.
+    if (snapshot_ == nullptr) {
+      return core::FairshareSnapshot(std::make_shared<const core::FairshareSnapshot::Node>(), 0,
+                                     core::kDefaultResolution, 0)
+          .tree_to_json();
+    }
     return snapshot_->tree_to_json();
   }
   if (op == ingest::kBatchOp) {

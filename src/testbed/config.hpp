@@ -36,19 +36,3 @@ template <>
 struct aequus::json::Decoder<aequus::testbed::ExperimentConfig> {
   [[nodiscard]] static aequus::testbed::ExperimentConfig decode(const Value& spec);
 };
-
-namespace aequus::testbed {
-
-/// Deprecated spelling of json::decode<workload::Scenario>().
-[[deprecated("use json::decode<workload::Scenario>()")]] [[nodiscard]] inline workload::Scenario
-scenario_from_json(const json::Value& spec) {
-  return json::decode<workload::Scenario>(spec);
-}
-
-/// Deprecated spelling of json::decode<ExperimentConfig>().
-[[deprecated("use json::decode<testbed::ExperimentConfig>()")]] [[nodiscard]] inline ExperimentConfig
-experiment_config_from_json(const json::Value& spec) {
-  return json::decode<ExperimentConfig>(spec);
-}
-
-}  // namespace aequus::testbed

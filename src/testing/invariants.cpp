@@ -109,9 +109,9 @@ void InvariantChecker::check_priority_monotonicity(double now) {
 
   for (const auto& site : experiment_.sites()) {
     const auto& usage = site->aequus().ums().usage_tree();
-    const core::FairshareTree tree =
+    const core::FairshareSnapshotPtr tree =
         core::FairshareEngine::compute_once(fairshare.algorithm, policy, usage);
-    const auto factors = core::project(tree, fairshare.projection);
+    const auto factors = core::project(*tree, fairshare.projection);
 
     struct User {
       std::string name;
@@ -126,7 +126,7 @@ void InvariantChecker::check_priority_monotonicity(double now) {
       const auto factor_it = factors.find(path);
       if (factor_it == factors.end()) continue;
       users.push_back(
-          {user, share, usage.usage(path), factor_it->second, tree.vector_for(path)});
+          {user, share, usage.usage(path), factor_it->second, tree->vector_for(path)});
     }
 
     for (std::size_t i = 0; i < users.size(); ++i) {

@@ -1,5 +1,5 @@
-// Frozen pre-arena engine implementation; see reference_engine.hpp for
-// why this file must not change.
+// Frozen oracle implementations; see reference_engine.hpp for why this
+// file must not change.
 #include "testing/reference_engine.hpp"
 
 #include <algorithm>
@@ -14,6 +14,36 @@ using core::FairshareSnapshotPtr;
 
 namespace {
 
+void annotate(const core::FairshareAlgorithm& algorithm, const core::PolicyTree::Node& policy_node,
+              const core::UsageTree& usage, std::vector<std::string>& prefix,
+              FairshareSnapshot::Node& out) {
+  out.name = policy_node.name;
+  double share_total = 0.0;
+  for (const auto& child : policy_node.children) share_total += std::max(child.share, 0.0);
+  double usage_total = 0.0;
+  std::vector<double> child_usage(policy_node.children.size(), 0.0);
+  for (std::size_t i = 0; i < policy_node.children.size(); ++i) {
+    prefix.push_back(policy_node.children[i].name);
+    child_usage[i] = usage.usage(core::join_path(prefix));
+    prefix.pop_back();
+    usage_total += child_usage[i];
+  }
+  out.children.reserve(policy_node.children.size());
+  for (std::size_t i = 0; i < policy_node.children.size(); ++i) {
+    const auto& policy_child = policy_node.children[i];
+    auto child_out = std::make_shared<FairshareSnapshot::Node>();
+    child_out->policy_share =
+        share_total > 0.0 ? std::max(policy_child.share, 0.0) / share_total : 0.0;
+    child_out->usage_share = usage_total > 0.0 ? child_usage[i] / usage_total : 0.0;
+    child_out->distance =
+        algorithm.node_distance(child_out->policy_share, child_out->usage_share);
+    prefix.push_back(policy_child.name);
+    annotate(algorithm, policy_child, usage, prefix, *child_out);
+    prefix.pop_back();
+    out.children.push_back(std::move(child_out));
+  }
+}
+
 void mark_all_groups_dirty(auto& node) {
   node.children_dirty = true;
   node.needs_visit = true;
@@ -21,6 +51,20 @@ void mark_all_groups_dirty(auto& node) {
 }
 
 }  // namespace
+
+FairshareSnapshotPtr reference_annotate(const core::FairshareConfig& config,
+                                        const core::PolicyTree& policy,
+                                        const core::UsageTree& usage) {
+  auto root = std::make_shared<FairshareSnapshot::Node>();
+  std::vector<std::string> prefix;
+  annotate(core::FairshareAlgorithm(config), policy.root(), usage, prefix, *root);
+  root->name.assign(1, '/');
+  root->policy_share = 1.0;
+  root->usage_share = usage.empty() ? 0.0 : 1.0;
+  root->distance = 0.0;
+  return std::make_shared<const FairshareSnapshot>(std::move(root), 1, config.resolution,
+                                                   policy.depth());
+}
 
 ReferenceMapEngine::Node* ReferenceMapEngine::Node::find_child(const std::string& child_name) {
   for (auto& child : children) {

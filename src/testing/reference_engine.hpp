@@ -1,13 +1,20 @@
-// Frozen copy of the pre-arena, map-based incremental engine.
+// Frozen oracles for the fairshare engine.
 //
-// This is the FairshareEngine as it stood before the arena/SoA rework
-// (DESIGN.md §6h): a pointer-linked working tree plus string-keyed
-// std::maps for leaf values and bins. It is kept verbatim (modulo the
-// rename) as a *test oracle*: the arena engine must stay bit-identical
-// to it for any mutation sequence, and the differential property test
-// (tests/engine_arena_differential_test.cpp) plus the bench comparison
-// rows drive both side by side. Do not modernize or optimize this file —
-// its value is that it does not change.
+// reference_annotate() is the pre-engine batch annotation: one recursive
+// pass over the policy tree that sums usage per sibling group. It fixes
+// the floating-point summation orders every engine must reproduce.
+//
+// ReferenceMapEngine is the FairshareEngine as it stood before the
+// arena/SoA rework (DESIGN.md §6h): a pointer-linked working tree plus
+// string-keyed std::maps for leaf values and bins, kept verbatim (modulo
+// the rename).
+//
+// The arena engine must stay bit-identical to both for any mutation
+// sequence: the differential property test
+// (tests/engine_arena_differential_test.cpp) drives all three over one
+// seeded stream, and bench_incremental times the engine against each.
+// Do not modernize or optimize these files — their value is that they do
+// not change.
 #pragma once
 
 #include <cstdint>
@@ -24,6 +31,12 @@
 #include "core/usage.hpp"
 
 namespace aequus::testing {
+
+/// Annotate `policy` with `usage` by the frozen whole-tree recursion. The
+/// snapshot is stamped generation 1, like a fresh engine's first publish.
+[[nodiscard]] core::FairshareSnapshotPtr reference_annotate(const core::FairshareConfig& config,
+                                                            const core::PolicyTree& policy,
+                                                            const core::UsageTree& usage);
 
 class ReferenceMapEngine {
  public:

@@ -135,21 +135,6 @@ TEST(ExperimentConfigJson, RejectsUnknownEnums) {
                std::invalid_argument);
 }
 
-TEST(ConfigJsonCompat, DeprecatedForwardersStillDecode) {
-  // The legacy names must keep working (and agreeing with json::decode)
-  // until downstreams finish migrating.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  const core::FairshareConfig via_legacy =
-      core::fairshare_config_from_json(json::parse(R"({"k":0.7})"));
-  const services::InstallationConfig installation =
-      services::installation_config_from_json(json::parse("{}"));
-#pragma GCC diagnostic pop
-  EXPECT_DOUBLE_EQ(via_legacy.distance_weight_k, 0.7);
-  EXPECT_DOUBLE_EQ(installation.uss.bin_width,
-                   services::InstallationConfig{}.uss.bin_width);
-}
-
 TEST(FcsRuntimeReconfiguration, ProjectionSwitchTakesEffectImmediately) {
   sim::Simulator simulator;
   net::ServiceBus bus(simulator);

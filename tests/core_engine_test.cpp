@@ -12,29 +12,31 @@
 namespace aequus::core {
 namespace {
 
-/// Bitwise comparison of the engine's published tree against a batch
-/// FairshareTree (operator== on doubles; no NaN by construction).
-void expect_nodes_equal(const FairshareSnapshot::Node& snapshot_node,
-                        const FairshareTree::Node& tree_node, const std::string& where) {
-  EXPECT_EQ(snapshot_node.name, tree_node.name) << where;
-  EXPECT_EQ(snapshot_node.policy_share, tree_node.policy_share) << where;
-  EXPECT_EQ(snapshot_node.usage_share, tree_node.usage_share) << where;
-  EXPECT_EQ(snapshot_node.distance, tree_node.distance) << where;
-  ASSERT_EQ(snapshot_node.children.size(), tree_node.children.size()) << where;
-  for (std::size_t i = 0; i < tree_node.children.size(); ++i) {
-    expect_nodes_equal(*snapshot_node.children[i], tree_node.children[i],
-                       where + "/" + tree_node.children[i].name);
+/// Bitwise comparison of two annotated trees (operator== on doubles; no
+/// NaN by construction).
+void expect_nodes_equal(const FairshareSnapshot::Node& actual, const FairshareSnapshot::Node& want,
+                        const std::string& where) {
+  EXPECT_EQ(actual.name, want.name) << where;
+  EXPECT_EQ(actual.policy_share, want.policy_share) << where;
+  EXPECT_EQ(actual.usage_share, want.usage_share) << where;
+  EXPECT_EQ(actual.distance, want.distance) << where;
+  ASSERT_EQ(actual.children.size(), want.children.size()) << where;
+  for (std::size_t i = 0; i < want.children.size(); ++i) {
+    expect_nodes_equal(*actual.children[i], *want.children[i],
+                       where + "/" + want.children[i]->name);
   }
 }
 
+/// The incrementally maintained snapshot against a fresh engine's first
+/// publish over the same inputs.
 void expect_matches_batch(const FairshareSnapshotPtr& snapshot, const FairshareConfig& config,
                           const PolicyTree& policy, const UsageTree& usage) {
-  const FairshareTree batch = FairshareEngine::compute_once(config, policy, usage);
+  const FairshareSnapshotPtr batch = FairshareEngine::compute_once(config, policy, usage);
   ASSERT_NE(snapshot, nullptr);
   ASSERT_TRUE(snapshot->has_tree());
-  expect_nodes_equal(snapshot->root(), batch.root(), "");
-  EXPECT_EQ(snapshot->resolution(), batch.resolution());
-  EXPECT_EQ(snapshot->depth(), batch.depth());
+  expect_nodes_equal(snapshot->root(), batch->root(), "");
+  EXPECT_EQ(snapshot->resolution(), batch->resolution());
+  EXPECT_EQ(snapshot->depth(), batch->depth());
 }
 
 PolicyTree fig_policy() {
@@ -259,37 +261,6 @@ TEST(FairshareEngineModel, CurrentIsNullBeforeFirstPublish) {
   FairshareEngine engine;
   EXPECT_EQ(engine.current(), nullptr);
   EXPECT_EQ(engine.generation(), 0u);
-}
-
-TEST(FairshareEngineModel, ComputeOnceMatchesExplicitEngineRun) {
-  const PolicyTree policy = fig_policy();
-  UsageTree usage;
-  usage.add("/grid/projB/carol", 77.0);
-  FairshareEngine engine;
-  engine.set_policy(policy);
-  engine.set_usage(usage);
-  const FairshareTree explicit_run = engine.snapshot()->to_tree();
-  const FairshareTree direct = FairshareEngine::compute_once({}, policy, usage);
-  EXPECT_EQ(explicit_run.to_json().dump(), direct.to_json().dump());
-}
-
-TEST(FairshareSnapshotModel, VectorExtractionMatchesTree) {
-  const PolicyTree policy = fig_policy();
-  UsageTree usage;
-  usage.add("/grid/projA/alice", 10.0);
-  FairshareEngine engine;
-  engine.set_policy(policy);
-  engine.set_usage(usage);
-  const FairshareSnapshotPtr snapshot = engine.snapshot();
-  const FairshareTree batch = FairshareEngine::compute_once({}, policy, usage);
-  for (const auto& path : batch.user_paths()) {
-    const auto from_snapshot = snapshot->vector_for(path);
-    const auto from_tree = batch.vector_for(path);
-    ASSERT_TRUE(from_snapshot.has_value()) << path;
-    EXPECT_EQ(from_snapshot->encoded(), from_tree->encoded()) << path;
-  }
-  EXPECT_EQ(snapshot->user_paths(), batch.user_paths());
-  EXPECT_FALSE(snapshot->vector_for("/nope").has_value());
 }
 
 TEST(FairshareSnapshotModel, FactorsLayerAndWireRoundTrip) {

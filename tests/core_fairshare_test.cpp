@@ -120,7 +120,7 @@ TEST(FairshareVectorModel, ToStringDotted) {
   EXPECT_EQ(v.to_string(), "0000.5000.9999");
 }
 
-TEST(FairshareTreeModel, ComputeAnnotatesShares) {
+TEST(AnnotatedTreeModel, ComputeAnnotatesShares) {
   PolicyTree policy;
   policy.set_share("/g/u1", 1.0);
   policy.set_share("/g/u2", 1.0);
@@ -131,19 +131,19 @@ TEST(FairshareTreeModel, ComputeAnnotatesShares) {
   usage.add("/g/u2", 10.0);
   usage.add("/local", 60.0);
 
-  const FairshareTree tree = FairshareEngine::compute_once({}, policy, usage);
+  const FairshareSnapshotPtr tree = FairshareEngine::compute_once({}, policy, usage);
 
-  const auto* g = tree.find("/g");
+  const auto* g = tree->find("/g");
   ASSERT_NE(g, nullptr);
   EXPECT_DOUBLE_EQ(g->policy_share, 1.0 / 3.0);  // weight 1 vs /local's 2
-  EXPECT_DOUBLE_EQ(tree.find("/local")->policy_share, 2.0 / 3.0);
+  EXPECT_DOUBLE_EQ(tree->find("/local")->policy_share, 2.0 / 3.0);
   EXPECT_DOUBLE_EQ(g->usage_share, 0.4);
-  EXPECT_DOUBLE_EQ(tree.find("/g/u1")->usage_share, 0.75);
-  EXPECT_DOUBLE_EQ(tree.find("/g/u1")->policy_share, 0.5);
-  EXPECT_EQ(tree.depth(), 2);
+  EXPECT_DOUBLE_EQ(tree->find("/g/u1")->usage_share, 0.75);
+  EXPECT_DOUBLE_EQ(tree->find("/g/u1")->policy_share, 0.5);
+  EXPECT_EQ(tree->depth(), 2);
 }
 
-TEST(FairshareTreeModel, VectorExtractionAndPadding) {
+TEST(AnnotatedTreeModel, VectorExtractionAndPadding) {
   PolicyTree policy;
   policy.set_share("/g/u1", 1.0);
   policy.set_share("/g/u2", 1.0);
@@ -152,34 +152,34 @@ TEST(FairshareTreeModel, VectorExtractionAndPadding) {
   UsageTree usage;
   usage.add("/g/u1", 10.0);
 
-  const FairshareTree tree = FairshareEngine::compute_once({}, policy, usage);
+  const FairshareSnapshotPtr tree = FairshareEngine::compute_once({}, policy, usage);
 
-  const auto deep = tree.vector_for("/g/u1");
+  const auto deep = tree->vector_for("/g/u1");
   ASSERT_TRUE(deep.has_value());
   EXPECT_EQ(deep->depth(), 2u);
 
-  const auto shallow = tree.vector_for("/LQ");
+  const auto shallow = tree->vector_for("/LQ");
   ASSERT_TRUE(shallow.has_value());
   EXPECT_EQ(shallow->depth(), 2u);  // padded to tree depth
   EXPECT_EQ(shallow->encoded()[1], FairshareVector::balance_point());
 
-  EXPECT_FALSE(tree.vector_for("/nope").has_value());
+  EXPECT_FALSE(tree->vector_for("/nope").has_value());
 }
 
-TEST(FairshareTreeModel, IdleUserOutranksActiveUser) {
+TEST(AnnotatedTreeModel, IdleUserOutranksActiveUser) {
   PolicyTree policy;
   policy.set_share("/u1", 1.0);
   policy.set_share("/u2", 1.0);
   UsageTree usage;
   usage.add("/u1", 100.0);
 
-  const FairshareTree tree = FairshareEngine::compute_once({}, policy, usage);
-  const auto v1 = tree.vector_for("/u1");
-  const auto v2 = tree.vector_for("/u2");
+  const FairshareSnapshotPtr tree = FairshareEngine::compute_once({}, policy, usage);
+  const auto v1 = tree->vector_for("/u1");
+  const auto v2 = tree->vector_for("/u2");
   EXPECT_EQ(v2->compare(*v1), std::strong_ordering::greater);
 }
 
-TEST(FairshareTreeModel, SubgroupIsolationOfVectorElements) {
+TEST(AnnotatedTreeModel, SubgroupIsolationOfVectorElements) {
   // Table I: the per-level vector element is affected only by its own
   // sibling group. Changing usage inside /b must not move /a/u1's element.
   PolicyTree policy;
@@ -197,28 +197,14 @@ TEST(FairshareTreeModel, SubgroupIsolationOfVectorElements) {
   UsageTree usage2 = usage1;
   usage2.add("/b/u3", 500.0);  // perturb the other subgroup
 
-  const FairshareTree t1 = FairshareEngine::compute_once({}, policy, usage1);
-  const FairshareTree t2 = FairshareEngine::compute_once({}, policy, usage2);
+  const FairshareSnapshotPtr t1 = FairshareEngine::compute_once({}, policy, usage1);
+  const FairshareSnapshotPtr t2 = FairshareEngine::compute_once({}, policy, usage2);
 
   // Second (leaf) element of /a users: untouched by /b's internal change.
-  EXPECT_DOUBLE_EQ(t1.find("/a/u1")->distance, t2.find("/a/u1")->distance);
-  EXPECT_DOUBLE_EQ(t1.find("/a/u2")->distance, t2.find("/a/u2")->distance);
+  EXPECT_DOUBLE_EQ(t1->find("/a/u1")->distance, t2->find("/a/u1")->distance);
+  EXPECT_DOUBLE_EQ(t1->find("/a/u2")->distance, t2->find("/a/u2")->distance);
   // The top-level element of /a *does* change (the a-vs-b balance shifted).
-  EXPECT_NE(t1.find("/a")->distance, t2.find("/a")->distance);
-}
-
-TEST(FairshareTreeModel, JsonRoundTrip) {
-  PolicyTree policy;
-  policy.set_share("/g/u1", 1.0);
-  policy.set_share("/g/u2", 3.0);
-  UsageTree usage;
-  usage.add("/g/u1", 5.0);
-  const FairshareTree tree = FairshareEngine::compute_once({}, policy, usage);
-
-  const FairshareTree restored = FairshareTree::from_json(tree.to_json());
-  EXPECT_EQ(restored.user_paths(), tree.user_paths());
-  EXPECT_DOUBLE_EQ(restored.find("/g/u1")->distance, tree.find("/g/u1")->distance);
-  EXPECT_EQ(restored.resolution(), tree.resolution());
+  EXPECT_NE(t1->find("/a")->distance, t2->find("/a")->distance);
 }
 
 /// Parameterized sweep over the distance weight k: invariants that must
@@ -284,12 +270,12 @@ TEST_P(ResolutionSweep, EncodingIsMonotone) {
 INSTANTIATE_TEST_SUITE_P(Resolutions, ResolutionSweep,
                          ::testing::Values(2, 10, 100, 10000, 1000000));
 
-TEST(FairshareTreeModel, UserPathsListsLeaves) {
+TEST(AnnotatedTreeModel, UserPathsListsLeaves) {
   PolicyTree policy;
   policy.set_share("/g/u1", 1.0);
   policy.set_share("/solo", 1.0);
-  const FairshareTree tree = FairshareEngine::compute_once({}, policy, UsageTree());
-  EXPECT_EQ(tree.user_paths(), (std::vector<std::string>{"/g/u1", "/solo"}));
+  const FairshareSnapshotPtr tree = FairshareEngine::compute_once({}, policy, UsageTree());
+  EXPECT_EQ(tree->user_paths(), (std::vector<std::string>{"/g/u1", "/solo"}));
 }
 
 }  // namespace

@@ -9,15 +9,15 @@
 namespace aequus::core {
 namespace {
 
-FairshareTree make_tree(const std::map<std::string, double>& shares,
-                        const std::map<std::string, double>& usage_amounts,
-                        double k = 0.5) {
+FairshareSnapshot make_tree(const std::map<std::string, double>& shares,
+                            const std::map<std::string, double>& usage_amounts,
+                            double k = 0.5) {
   PolicyTree policy;
   for (const auto& [path, share] : shares) policy.set_share(path, share);
   UsageTree usage;
   for (const auto& [path, amount] : usage_amounts) usage.add(path, amount);
-  return FairshareEngine::compute_once(FairshareConfig{k, kDefaultResolution}, policy,
-                                       usage);
+  return *FairshareEngine::compute_once(FairshareConfig{k, kDefaultResolution}, policy,
+                                        usage);
 }
 
 TEST(ProjectionNames, ToString) {
@@ -29,8 +29,8 @@ TEST(ProjectionNames, ToString) {
 TEST(DictionaryProjection, PaperExampleSpacing) {
   // "three vectors would result in the numerical values 0.75, 0.50, and
   // 0.25, according to sorting order."
-  const FairshareTree tree = make_tree({{"/a", 1.0}, {"/b", 1.0}, {"/c", 1.0}},
-                                       {{"/a", 10.0}, {"/b", 50.0}, {"/c", 100.0}});
+  const FairshareSnapshot tree = make_tree({{"/a", 1.0}, {"/b", 1.0}, {"/c", 1.0}},
+                                           {{"/a", 10.0}, {"/b", 50.0}, {"/c", 100.0}});
   const auto values = project(tree, {ProjectionKind::kDictionaryOrdering, 8});
   ASSERT_EQ(values.size(), 3u);
   EXPECT_DOUBLE_EQ(values.at("/a"), 0.75);  // least usage -> best rank
@@ -39,7 +39,7 @@ TEST(DictionaryProjection, PaperExampleSpacing) {
 }
 
 TEST(DictionaryProjection, OrderMatchesVectorComparison) {
-  const FairshareTree tree =
+  const FairshareSnapshot tree =
       make_tree({{"/g/u1", 1.0}, {"/g/u2", 1.0}, {"/h/u3", 2.0}, {"/h/u4", 1.0}},
                 {{"/g/u1", 40.0}, {"/g/u2", 10.0}, {"/h/u3", 30.0}, {"/h/u4", 5.0}});
   const auto values = project(tree, {ProjectionKind::kDictionaryOrdering, 8});
@@ -53,8 +53,8 @@ TEST(DictionaryProjection, OrderMatchesVectorComparison) {
 }
 
 TEST(BitwiseProjection, PreservesOrderWithinDepth) {
-  const FairshareTree tree = make_tree({{"/a", 1.0}, {"/b", 1.0}, {"/c", 1.0}},
-                                       {{"/a", 10.0}, {"/b", 50.0}, {"/c", 100.0}});
+  const FairshareSnapshot tree = make_tree({{"/a", 1.0}, {"/b", 1.0}, {"/c", 1.0}},
+                                           {{"/a", 10.0}, {"/b", 50.0}, {"/c", 100.0}});
   const auto values = project(tree, {ProjectionKind::kBitwiseVector, 8});
   EXPECT_GT(values.at("/a"), values.at("/b"));
   EXPECT_GT(values.at("/b"), values.at("/c"));
@@ -76,7 +76,7 @@ TEST(BitwiseProjection, FiniteDepthTruncatesToOneQuantum) {
   policy.set_share("/a/b/c2", 1.0);
   UsageTree usage;
   usage.add("/a/b/c1", 100.0);
-  const FairshareTree tree = FairshareEngine::compute_once({}, policy, usage);
+  const FairshareSnapshot tree = *FairshareEngine::compute_once({}, policy, usage);
   const auto values = project(tree, {ProjectionKind::kBitwiseVector, 26});
   const double quantum = 1.0 / (std::exp2(26.0 * 2) - 1.0);
   EXPECT_NE(values.at("/a/b/c1"), values.at("/a/b/c2"));
@@ -93,7 +93,7 @@ TEST(BitwiseProjection, FinitePrecisionQuantizesToOneQuantum) {
   // same bucket (Table I: no infinite precision). Disambiguation keeps
   // their factors distinct and correctly ordered, but within the shared
   // bucket's quantum — far closer together than to any other bucket.
-  const FairshareTree tree =
+  const FairshareSnapshot tree =
       make_tree({{"/a", 1.0}, {"/b", 1.0}, {"/c", 1.0}},
                 {{"/a", 10.0}, {"/b", 12.0}, {"/c", 1000.0}});
   const auto values = project(tree, {ProjectionKind::kBitwiseVector, 1});
@@ -109,7 +109,7 @@ TEST(BitwiseProjection, CollidingCodesDisambiguated) {
   // their factors silently. Collided factors must now stay distinct,
   // ordered like their vectors, inside [0, 1], and inside their code's
   // quantum; bit-identical vectors must still share one factor.
-  const FairshareTree tree = make_tree(
+  const FairshareSnapshot tree = make_tree(
       {{"/a", 1.0}, {"/b", 1.0}, {"/c", 1.0}, {"/d", 1.0}, {"/e", 1.0}},
       {{"/a", 10.0}, {"/b", 12.0}, {"/c", 14.0}, {"/d", 1000.0}, {"/e", 1000.0}});
   const auto values = project(tree, {ProjectionKind::kBitwiseVector, 2});
@@ -144,7 +144,7 @@ TEST(BitwiseProjection, AdjacentCodesBothCollidingKeepCrossCodeOrder) {
   // 0's best collider meet or exceed code 1's worst; bounding code 0's
   // spread below the successor group's smallest fraction keeps the full
   // cross-code ordering strict.
-  const FairshareTree tree = make_tree(
+  const FairshareSnapshot tree = make_tree(
       {{"/a", 1.0}, {"/b", 1.0}, {"/c", 1.0}, {"/d", 1.0}},
       {{"/a", 10.0}, {"/b", 12.0}, {"/c", 1000.0}, {"/d", 2000.0}});
   // Sanity: a/b share code 1, c/d share code 0, vectors distinct per code.
@@ -170,7 +170,7 @@ TEST(BitwiseProjection, AdjacentCodesBothCollidingKeepCrossCodeOrder) {
 
 TEST(PercentalProjection, PaperMaximumForIdleUser) {
   // U3 with share 0.12 and zero usage: (0.12 - 0 + 1) / 2 = 0.56.
-  const FairshareTree tree =
+  const FairshareSnapshot tree =
       make_tree({{"/U65", 0.47}, {"/U30", 0.385}, {"/U3", 0.12}, {"/Uoth", 0.025}},
                 {{"/U65", 470.0}, {"/U30", 385.0}, {"/Uoth", 25.0}});
   // Usage shares renormalize over active users; U3 idle.
@@ -179,15 +179,15 @@ TEST(PercentalProjection, PaperMaximumForIdleUser) {
 }
 
 TEST(PercentalProjection, BalanceGivesHalf) {
-  const FairshareTree tree = make_tree({{"/a", 0.6}, {"/b", 0.4}},
-                                       {{"/a", 60.0}, {"/b", 40.0}});
+  const FairshareSnapshot tree = make_tree({{"/a", 0.6}, {"/b", 0.4}},
+                                           {{"/a", 60.0}, {"/b", 40.0}});
   EXPECT_NEAR(percental_value(tree, "/a"), 0.5, 1e-12);
   EXPECT_NEAR(percental_value(tree, "/b"), 0.5, 1e-12);
 }
 
 TEST(PercentalProjection, ProportionalToDeviation) {
-  const FairshareTree tree = make_tree({{"/a", 0.5}, {"/b", 0.5}},
-                                       {{"/a", 30.0}, {"/b", 70.0}});
+  const FairshareSnapshot tree = make_tree({{"/a", 0.5}, {"/b", 0.5}},
+                                           {{"/a", 30.0}, {"/b", 70.0}});
   const auto values = project(tree, {ProjectionKind::kPercental, 8});
   // a under-used by 0.2, b over-used by 0.2: symmetric around 0.5.
   EXPECT_NEAR(values.at("/a"), 0.6, 1e-12);
@@ -203,7 +203,7 @@ TEST(PercentalProjection, MultiplicativeDownPaths) {
   policy.set_share("/q/w", 1.0);
   UsageTree usage;
   usage.add("/q/w", 100.0);
-  const FairshareTree tree = FairshareEngine::compute_once({}, policy, usage);
+  const FairshareSnapshot tree = *FairshareEngine::compute_once({}, policy, usage);
   // /p/u: target 0.2 * 0.25 = 0.05, usage 0 -> (0.05 + 1)/2 = 0.525.
   EXPECT_NEAR(percental_value(tree, "/p/u"), 0.525, 1e-12);
   EXPECT_EQ(percental_value(tree, "/missing"), 0.5);

@@ -1,17 +1,19 @@
-// Arena/map engine differential property test (DESIGN.md §6h).
+// Engine differential property test (DESIGN.md §6h): the arena engine
+// against both frozen oracles.
 //
-// The arena rework replaced the engine's pointer-linked working tree and
-// string-keyed maps with id-indexed SoA arenas, claiming *bit-identity*:
-// the two implementations must be indistinguishable through the public
-// API for any mutation sequence. testing::ReferenceMapEngine is the old
-// engine frozen verbatim; each trial derives a random op stream from the
-// trial seed (usage deltas incl. unlisted and non-canonical paths, decay
-// epoch advances and rollovers, policy swaps, decay/config swaps,
-// wholesale set_usage replacements) and drives both engines with the
-// identical stream, asserting after every publish that
+// The engine's contract is *bit-identity*. For any mutation sequence its
+// published snapshot equals, double for double, the pre-engine
+// whole-tree recursion (testing::reference_annotate) over the equivalent
+// policy and decayed usage, and the pre-arena map engine
+// (testing::ReferenceMapEngine) driven by the same mutations. Each trial
+// derives a random op stream from the trial seed (usage deltas incl.
+// unlisted and non-canonical paths, decay epoch advances and rollovers
+// that expire whole leaves, policy swaps, decay/config swaps, wholesale
+// set_usage replacements) and asserts after every publish that
 //
-//   - snapshots agree double-for-double across the whole tree,
-//   - generation counters agree (same change detection),
+//   - the recursion, compute_once(), the map engine and the arena engine
+//     agree across the whole tree,
+//   - the two engines' generation counters agree (same change detection),
 //   - all three projections agree bitwise, factor maps included.
 //
 // Failures print the trial seed; AEQUUS_PROPERTY_SEED=<seed> replays the
@@ -24,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "core/decay.hpp"
 #include "core/engine.hpp"
 #include "core/projection.hpp"
 #include "core/snapshot.hpp"
@@ -81,6 +84,27 @@ std::string user_path(std::size_t cluster, std::size_t user) {
   return "/grid/cluster" + std::to_string(cluster) + "/user" + std::to_string(user);
 }
 
+/// The engines' leaf values, tracked independently of either engine: the
+/// last set_usage() replacement, overridden per leaf by the bins
+/// apply_usage() recorded since, decayed at the current epoch. A binned
+/// leaf that decays to zero is absent.
+struct UsageModel {
+  std::map<std::string, double> replaced;
+  std::map<std::string, std::vector<std::pair<double, double>>> bins;
+
+  [[nodiscard]] core::UsageTree decayed(const core::DecayConfig& decay, double epoch) const {
+    const core::Decay decay_fn(decay);
+    core::UsageTree usage;
+    for (const auto& [path, value] : replaced) {
+      if (bins.count(path) == 0) usage.add(path, value);
+    }
+    for (const auto& [path, leaf_bins] : bins) {
+      usage.add(path, decay_fn.decayed_total(leaf_bins, epoch));
+    }
+    return usage;
+  }
+};
+
 void drive_identical_streams(std::uint64_t seed) {
   std::mt19937_64 rng(seed);
   std::uniform_real_distribution<double> unit(0.0, 1.0);
@@ -96,12 +120,14 @@ void drive_identical_streams(std::uint64_t seed) {
   policy.set_share("/local", 2.0);
 
   const core::DecayConfig initial_decay{core::DecayKind::kExponentialHalfLife, 500.0, 1000.0};
+  core::DecayConfig decay = initial_decay;
   core::FairshareConfig config;
   testing::ReferenceMapEngine reference(config, initial_decay);
   core::FairshareEngine arena(config, initial_decay);
   reference.set_policy(policy);
   arena.set_policy(policy);
 
+  UsageModel model;
   double epoch = 0.0;
   for (int step = 0; step < 220; ++step) {
     const double action = unit(rng);
@@ -116,6 +142,7 @@ void drive_identical_streams(std::uint64_t seed) {
       const double bin_time = epoch - unit(rng) * 800.0;
       reference.apply_usage(path, amount, bin_time);
       arena.apply_usage(path, amount, bin_time);
+      model.bins[core::join_path(core::split_path(path))].emplace_back(bin_time, amount);
     } else if (action < 0.68) {
       epoch += action < 0.54 ? 5000.0 : unit(rng) * 200.0;
       reference.set_decay_epoch(epoch);
@@ -139,10 +166,11 @@ void drive_identical_streams(std::uint64_t seed) {
       }
       reference.set_usage(usage);
       arena.set_usage(usage);
+      model.replaced = usage.leaves();
+      model.bins.clear();
     } else if (action < 0.95) {
-      const core::DecayConfig decay =
-          action < 0.91 ? core::DecayConfig{core::DecayKind::kSlidingWindow, 0.0, 2500.0}
-                        : initial_decay;
+      decay = action < 0.91 ? core::DecayConfig{core::DecayKind::kSlidingWindow, 0.0, 2500.0}
+                            : initial_decay;
       reference.set_decay(decay);
       arena.set_decay(decay);
     } else {
@@ -152,20 +180,26 @@ void drive_identical_streams(std::uint64_t seed) {
     }
 
     if (step % 10 == 9) {
+      const core::UsageTree usage = model.decayed(decay, epoch);
+      const FairshareSnapshotPtr oracle = testing::reference_annotate(config, policy, usage);
+      const FairshareSnapshotPtr batch = core::FairshareEngine::compute_once(config, policy, usage);
       const FairshareSnapshotPtr want = reference.snapshot();
       const FairshareSnapshotPtr got = arena.snapshot();
       testing::require(want != nullptr && got != nullptr, "null snapshot");
       testing::require(want->generation() == got->generation(),
                        "generation counters diverged");
-      require_nodes_equal(want->root(), got->root(), "");
-      testing::require(want->depth() == got->depth(), "depth mismatch");
+      require_nodes_equal(oracle->root(), batch->root(), "[compute_once]");
+      require_nodes_equal(oracle->root(), want->root(), "[map]");
+      require_nodes_equal(oracle->root(), got->root(), "[arena]");
+      testing::require(oracle->depth() == want->depth() && oracle->depth() == got->depth(),
+                       "depth mismatch");
       require_projections_equal(*want, *got);
     }
   }
 }
 
-TEST(EngineArenaDifferential, BitIdenticalToMapEngineOverRandomStreams) {
-  const auto outcome = testing::run_property("arena_vs_map_engine", 12, 0xa12e7a5eULL,
+TEST(EngineArenaDifferential, BitIdenticalToBothOraclesOverRandomStreams) {
+  const auto outcome = testing::run_property("arena_vs_oracles", 12, 0xa12e7a5eULL,
                                              drive_identical_streams);
   EXPECT_TRUE(outcome.passed) << outcome.summary();
 }

@@ -224,10 +224,14 @@ TEST_F(ServicesTest, FcsSnapshotOp) {
   Installation site(simulator, bus, "site0");
   site.set_policy(flat_policy({{"alice", 1.0}, {"bob", 1.0}}));
 
-  // Before the first calculation the FCS serves an empty snapshot.
+  // Before the first calculation the FCS serves an empty snapshot, and a
+  // tree of one unnamed, zero-valued node in the bytes clients have
+  // always received.
   const json::Value empty = bus.call("site0.fcs", json::parse(R"({"op":"snapshot"})"));
   EXPECT_DOUBLE_EQ(empty.get_number("generation"), 0.0);
   EXPECT_EQ(empty.at("users").size(), 0u);
+  EXPECT_EQ(bus.call("site0.fcs", json::parse(R"({"op":"tree"})")).dump(),
+            R"({"resolution":10000,"tree":{"distance":0,"name":"","policy":0,"usage":0}})");
 
   site.uss().report("alice", 100.0);
   simulator.run_until(100.0);
