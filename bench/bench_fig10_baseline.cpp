@@ -5,10 +5,12 @@
 // balance: cumulative usage shares approach the targets and all users'
 // priorities approach the 0.5 balance point.
 //
-// Runs as a parallel sweep (default 4 replications, seeds derived from
-// the root seed) so the convergence numbers carry confidence intervals;
-// unless --no-serial-reference is given, a single-threaded reference
-// sweep measures the parallel speedup. Emits BENCH_fig10_baseline.json.
+// The experiment is scenarios/fig10_baseline.json, compiled at the
+// bench's size. It runs as a parallel sweep (the spec's 4 replications,
+// seeds derived from the root seed) so the convergence numbers carry
+// confidence intervals; unless --no-serial-reference is given, a
+// single-threaded reference sweep measures the parallel speedup. Emits a
+// BENCH JSON report.
 #include <cmath>
 #include <cstdio>
 
@@ -20,14 +22,14 @@ int main(int argc, char** argv) {
   bench::print_banner("Figure 10: baseline six-cluster convergence",
                       "Espling et al., IPPS'14, Section IV-A test 1");
 
-  const bench::BenchArgs args = bench::parse_bench_args(argc, argv, bench::kTestbedJobs, 4);
-  const workload::Scenario scenario = workload::baseline_scenario(2012, args.jobs);
+  const bench::BenchArgs args = bench::parse_bench_args(argc, argv, bench::kTestbedJobs, 0);
+  const scenario::CompiledScenario compiled = bench::compile_catalog("fig10_baseline", args);
+  const testbed::SweepSpec& spec = compiled.sweep;
+  const workload::Scenario& scenario = spec.variants.front().scenario;
   std::printf("scenario: %d clusters x %d hosts, %zu jobs, %.0f s, target load %.0f%%\n\n",
               scenario.cluster_count, scenario.hosts_per_cluster, scenario.trace.size(),
               scenario.duration_seconds, 100.0 * scenario.target_load);
 
-  const testbed::SweepSpec spec =
-      bench::make_sweep({{"baseline", scenario, testbed::ExperimentConfig{}}}, args);
   const bench::SweepRun sweep = bench::run_sweep_with_reference(spec, args);
 
   // The charts show replication 0; the tables aggregate all of them.
@@ -45,7 +47,7 @@ int main(int argc, char** argv) {
                                 100, 14, 0.3, 0.7)
                   .c_str());
 
-  const auto& aggregate = sweep.result.aggregates.at("baseline");
+  const auto& aggregate = sweep.result.aggregates.at(spec.variants.front().name);
   std::printf("across %zu replications (mean +- 95%% CI):\n",
               aggregate.at("mean_utilization").count);
   std::printf("  mean utilization: %.1f%% +- %.1f%% (paper: 93-97%%)\n",

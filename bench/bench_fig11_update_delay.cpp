@@ -7,9 +7,10 @@
 // ruling update delay out as a significant error source for the
 // compressed tests.
 //
-// Both variants run as one parallel sweep (default 3 replications each)
-// so the convergence fractions carry confidence intervals. Emits
-// BENCH_fig11_update_delay.json.
+// The experiment is scenarios/fig11_update_delay.json, whose experiment
+// overlay holds the shared cadences and decay; both variants run as one
+// parallel sweep (the spec's 3 replications each) so the convergence
+// fractions carry confidence intervals. Emits a BENCH JSON report.
 #include <cstdio>
 
 #include "common.hpp"
@@ -21,35 +22,15 @@ int main(int argc, char** argv) {
                       "Espling et al., IPPS'14, Section IV-A test 2");
 
   // A lighter default than 43,200 jobs: the x10 run simulates 60 hours of
-  // service chatter, so this bench uses a 12k-job baseline by default.
-  const bench::BenchArgs args = bench::parse_bench_args(argc, argv, 12000, 3);
-  const workload::Scenario base = workload::baseline_scenario(2012, args.jobs);
-  const workload::Scenario scaled = workload::scaled_scenario(base, 10.0);
-
-  testbed::ExperimentConfig config;  // identical delays for both runs
-  // Production-style service cadences: 10-minute USS/UMS/FCS periods and
-  // libaequus TTL (the update pipeline the experiment is about). The
-  // total staleness (~30 min end to end) is then a noticeable fraction of
-  // the 6-hour baseline but only a tenth of that for the x10 run.
-  config.timings.service_update_interval = 600.0;
-  config.timings.client_cache_ttl = 600.0;
-  config.timings.reprioritize_interval = 60.0;
-  // A week-long decay half-life makes usage effectively cumulative in
-  // *both* runs, so the only relative difference between them is the
-  // update pipeline — the variable this experiment isolates.
-  config.fairshare.decay =
-      core::DecayConfig{core::DecayKind::kExponentialHalfLife, 7.0 * 86400.0, 0.0};
-
-  testbed::ExperimentConfig scaled_config = config;
-  scaled_config.sample_interval = config.sample_interval * 10.0;
-  scaled_config.drain_seconds = 18000.0;
-
-  testbed::SweepSpec spec =
-      bench::make_sweep({{"baseline", base, config}, {"x10", scaled, scaled_config}}, args);
-  spec.convergence_epsilon = 0.08;
+  // service chatter, so the spec (and this bench) use a 12k-job baseline.
+  const bench::BenchArgs args = bench::parse_bench_args(argc, argv, 12000, 0);
+  const scenario::CompiledScenario compiled = bench::compile_catalog("fig11_update_delay", args);
+  const testbed::SweepSpec& spec = compiled.sweep;
+  const testbed::SweepVariant& base = spec.variants.at(0);
+  const testbed::SweepVariant& scaled = spec.variants.at(1);
   std::printf("baseline: %zu jobs over %.0f s; x10: %zu jobs over %.0f s, same delays\n",
-              base.trace.size(), base.duration_seconds, scaled.trace.size(),
-              scaled.duration_seconds);
+              base.scenario.trace.size(), base.scenario.duration_seconds,
+              scaled.scenario.trace.size(), scaled.scenario.duration_seconds);
   bench::SweepRun sweep = bench::run_sweep_with_reference(spec, args);
 
   // Headline numbers come from the merged metrics snapshots: every
@@ -57,21 +38,21 @@ int main(int argc, char** argv) {
   // run_sweep merges the per-task snapshots in task-index order, and the
   // gauge mean equals the aggregate-table mean bit for bit (same sums,
   // same order). The aggregates still supply the CIs.
-  const obs::Snapshot& base_obs = sweep.result.obs.at("baseline");
-  const obs::Snapshot& scaled_obs = sweep.result.obs.at("x10");
+  const obs::Snapshot& base_obs = sweep.result.obs.at(base.name);
+  const obs::Snapshot& scaled_obs = sweep.result.obs.at(scaled.name);
   const obs::GaugeValue base_convergence = base_obs.gauge("experiment.convergence_time_s");
   const obs::GaugeValue scaled_convergence = scaled_obs.gauge("experiment.convergence_time_s");
-  const double base_fraction = base_convergence.mean() / base.duration_seconds;
-  const double scaled_fraction = scaled_convergence.mean() / scaled.duration_seconds;
+  const double base_fraction = base_convergence.mean() / base.scenario.duration_seconds;
+  const double scaled_fraction = scaled_convergence.mean() / scaled.scenario.duration_seconds;
 
   std::printf("convergence to balance +-%.2f (priorities, mean +- 95%% CI over %llu reps):\n",
               spec.convergence_epsilon,
               static_cast<unsigned long long>(base_convergence.samples));
   std::printf("  baseline: %8.0f +- %5.0f s = %5.1f%% of the run\n", base_convergence.mean(),
-              sweep.result.aggregates.at("baseline").at("convergence_time_s").ci95_half,
+              sweep.result.aggregates.at(base.name).at("convergence_time_s").ci95_half,
               100.0 * base_fraction);
   std::printf("  x10 run : %8.0f +- %5.0f s = %5.1f%% of the run\n", scaled_convergence.mean(),
-              sweep.result.aggregates.at("x10").at("convergence_time_s").ci95_half,
+              sweep.result.aggregates.at(scaled.name).at("convergence_time_s").ci95_half,
               100.0 * scaled_fraction);
   if (base_convergence.mean() >= 0 && scaled_convergence.mean() >= 0 && base_fraction > 0) {
     std::printf("  relative convergence time shortened by %.1f%% (paper: 10-15%%)\n",

@@ -5,6 +5,9 @@
 // minute range"), loses balance when U65's queue runs dry, converges
 // again when U65's next phase arrives (~240 min), and ends with mostly
 // U30 jobs running below-balance priority to keep utilization up.
+//
+// The experiment is scenarios/fig12_nonoptimal_policy.json; this bench
+// runs its task 0 (sweep-derived seed) at the requested job count.
 #include <cstdio>
 
 #include "common.hpp"
@@ -15,8 +18,11 @@ int main(int argc, char** argv) {
   bench::print_banner("Figure 12: non-optimal policy (70/20/8/2)",
                       "Espling et al., IPPS'14, Section IV-A test 3");
 
-  const std::size_t jobs = bench::jobs_from_argv(argc, argv, bench::kTestbedJobs);
-  const workload::Scenario scenario = workload::nonoptimal_policy_scenario(2012, jobs);
+  bench::BenchArgs args;
+  args.jobs = bench::jobs_from_argv(argc, argv, bench::kTestbedJobs);
+  const testbed::SweepSpec spec =
+      bench::compile_catalog("fig12_nonoptimal_policy", args).sweep;
+  const workload::Scenario& scenario = spec.variants.front().scenario;
   std::printf("policy: U65 %.0f%%, U30 %.0f%%, U3 %.0f%%, Uoth %.0f%% — workload usage "
               "shares: %.1f/%.1f/%.1f/%.1f%%\n\n",
               100.0 * scenario.policy_shares.at("U65"),
@@ -28,7 +34,8 @@ int main(int argc, char** argv) {
               100.0 * scenario.usage_shares.at("U3"),
               100.0 * scenario.usage_shares.at("Uoth"));
 
-  const testbed::ExperimentResult result = bench::run_scenario(scenario);
+  const testbed::SweepResult sweep = testbed::run_sweep(spec);
+  const testbed::ExperimentResult& result = sweep.tasks.front().result;
 
   std::printf("%s\n",
               result.usage_shares

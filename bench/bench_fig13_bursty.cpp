@@ -8,6 +8,9 @@
 //     readjusts when the burst lands (~130 min);
 //   - peak submission rate far above the sustained 120 jobs/min
 //     (paper: 472 jobs/min).
+//
+// The experiment is scenarios/fig13_bursty.json; this bench runs its
+// task 0 (sweep-derived seed) at the requested job count.
 #include <algorithm>
 #include <cstdio>
 
@@ -20,8 +23,10 @@ int main(int argc, char** argv) {
   bench::print_banner("Figure 13: bursty usage test",
                       "Espling et al., IPPS'14, Section IV-A test 5");
 
-  const std::size_t jobs = bench::jobs_from_argv(argc, argv, bench::kTestbedJobs);
-  const workload::Scenario scenario = workload::bursty_scenario(2012, jobs);
+  bench::BenchArgs args;
+  args.jobs = bench::jobs_from_argv(argc, argv, bench::kTestbedJobs);
+  const testbed::SweepSpec spec = bench::compile_catalog("fig13_bursty", args).sweep;
+  const workload::Scenario& scenario = spec.variants.front().scenario;
 
   // Fig 13c analogue: job arrival model.
   {
@@ -51,7 +56,8 @@ int main(int argc, char** argv) {
               100.0 * stats_by_user.at("U3").usage_fraction,
               100.0 * stats_by_user.at("Uoth").usage_fraction);
 
-  const testbed::ExperimentResult result = bench::run_scenario(scenario);
+  const testbed::SweepResult sweep = testbed::run_sweep(spec);
+  const testbed::ExperimentResult& result = sweep.tasks.front().result;
 
   std::printf("%s\n",
               result.usage_shares

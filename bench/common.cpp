@@ -11,6 +11,7 @@
 #include "json/json.hpp"
 #include "obs/span_analysis.hpp"
 #include "obs/trace.hpp"
+#include "scenario/catalog.hpp"
 #include "testing/determinism.hpp"
 #include "util/rng.hpp"
 
@@ -39,6 +40,7 @@ BenchArgs parse_bench_args(int argc, char** argv, std::size_t fallback_jobs,
       if (parsed > 0) args.replications = static_cast<std::size_t>(parsed);
     } else if (std::strcmp(arg, "--seed") == 0) {
       args.root_seed = std::strtoull(value(), nullptr, 0);
+      args.root_seed_given = true;
     } else if (std::strcmp(arg, "--json-dir") == 0) {
       args.json_dir = value();
     } else if (std::strcmp(arg, "--no-serial-reference") == 0) {
@@ -59,6 +61,27 @@ BenchArgs parse_bench_args(int argc, char** argv, std::size_t fallback_jobs,
   return args;
 }
 
+namespace {
+
+/// --trace: trace each variant's first replication (tasks are
+/// variant-major, so that is task_index % replications == 0); tracing
+/// every replication would multiply the buffers for no analytical gain.
+/// The ring cap bounds memory on long runs — evictions show up as
+/// trace.dropped_events and as unmatched ends in the analysis.
+void attach_tracing(testbed::SweepSpec& spec, const BenchArgs& args) {
+  if (args.trace_path.empty()) return;
+  const std::size_t replications = spec.replications > 0 ? spec.replications : 1;
+  const std::size_t cap = args.trace_cap;
+  spec.on_setup = [replications, cap](testbed::Experiment& experiment, std::size_t task_index) {
+    if (task_index % replications == 0) {
+      experiment.tracer().set_capacity(cap);
+      experiment.tracer().enable();
+    }
+  };
+}
+
+}  // namespace
+
 testbed::SweepSpec make_sweep(std::vector<testbed::SweepVariant> variants,
                               const BenchArgs& args) {
   testbed::SweepSpec spec;
@@ -67,23 +90,21 @@ testbed::SweepSpec make_sweep(std::vector<testbed::SweepVariant> variants,
   spec.root_seed = args.root_seed;
   spec.threads = args.threads;
   testing::attach_fingerprints(spec);
-  if (!args.trace_path.empty()) {
-    // Trace each variant's first replication (tasks are variant-major, so
-    // that is task_index % replications == 0); tracing every replication
-    // would multiply the buffers for no analytical gain. The ring cap
-    // bounds memory on long runs — evictions show up as
-    // trace.dropped_events and as unmatched ends in the analysis.
-    const std::size_t replications = spec.replications;
-    const std::size_t cap = args.trace_cap;
-    spec.on_setup = [replications, cap](testbed::Experiment& experiment,
-                                        std::size_t task_index) {
-      if (task_index % replications == 0) {
-        experiment.tracer().set_capacity(cap);
-        experiment.tracer().enable();
-      }
-    };
-  }
+  attach_tracing(spec, args);
   return spec;
+}
+
+scenario::CompiledScenario compile_catalog(const std::string& name, const BenchArgs& args) {
+  scenario::CompileOptions options;
+  options.max_jobs = args.jobs;
+  options.replications = args.replications;
+  options.threads = args.threads;
+  scenario::CompiledScenario compiled = scenario::compile(
+      scenario::load_spec_file(scenario::catalog_dir() + "/" + name + ".json"), options);
+  if (args.root_seed_given) compiled.sweep.root_seed = args.root_seed;
+  compiled.sweep.keep_results = true;  // compile() attached the fingerprinter
+  attach_tracing(compiled.sweep, args);
+  return compiled;
 }
 
 SweepRun run_sweep_with_reference(const testbed::SweepSpec& spec, const BenchArgs& args) {
@@ -256,31 +277,7 @@ void write_bench_json(const std::string& bench_name, const BenchArgs& args,
   for (const auto& [key, value] : extra) extras[key] = value;
   root["extra"] = json::Value(std::move(extras));
 
-  json::Object variants;
-  for (const auto& [variant, metrics] : result.aggregates) {
-    json::Object metric_obj;
-    for (const auto& [metric, summary] : metrics) {
-      json::Object s;
-      s["count"] = summary.count;
-      s["mean"] = summary.mean;
-      s["stddev"] = summary.stddev;
-      s["ci95_half"] = summary.ci95_half;
-      s["min"] = summary.min;
-      s["max"] = summary.max;
-      metric_obj[metric] = json::Value(std::move(s));
-    }
-    json::Object variant_obj;
-    variant_obj["metrics"] = json::Value(std::move(metric_obj));
-    // Merged metrics snapshot, histogram bucket layouts included — the
-    // source of truth tools/trace_analyze --report and bench_gate.py read
-    // histogram bounds from.
-    const auto obs_it = result.obs.find(variant);
-    if (obs_it != result.obs.end() && !obs_it->second.empty()) {
-      variant_obj["obs"] = obs_it->second.to_json();
-    }
-    variants[variant] = json::Value(std::move(variant_obj));
-  }
-  root["variants"] = json::Value(std::move(variants));
+  root["variants"] = testbed::variants_to_json(result);
 
   json::Array tasks;
   for (const auto& task : result.tasks) {
@@ -359,12 +356,6 @@ void rescale_to_capacity(workload::Scenario& scenario) {
   const double current = scenario.trace.total_usage();
   if (current <= 0.0) return;
   for (auto& record : scenario.trace.records()) record.duration *= target / current;
-}
-
-testbed::ExperimentResult run_scenario(const workload::Scenario& scenario,
-                                       testbed::ExperimentConfig config) {
-  testbed::Experiment experiment(scenario, std::move(config));
-  return experiment.run();
 }
 
 void print_banner(const std::string& title, const std::string& paper_reference) {

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "scenario/compile.hpp"
 #include "testbed/experiment.hpp"
 #include "testbed/sweep.hpp"
 #include "util/strings.hpp"
@@ -41,6 +42,7 @@ struct BenchArgs {
   int threads = 0;               ///< 0 = auto (AEQUUS_THREADS / hardware)
   std::size_t replications = 0;  ///< 0 = bench default
   std::uint64_t root_seed = 2014;
+  bool root_seed_given = false;  ///< --seed was passed (overrides a catalog spec's seed)
   std::string json_dir = ".";
   /// Re-run the sweep single-threaded to report speedup_vs_serial in the
   /// JSON (skipped automatically when the sweep resolves to one thread).
@@ -64,6 +66,15 @@ struct BenchArgs {
 /// CLI and determinism fingerprints attached (hashes land in the JSON).
 [[nodiscard]] testbed::SweepSpec make_sweep(std::vector<testbed::SweepVariant> variants,
                                             const BenchArgs& args);
+
+/// The catalog spec `name` (scenarios/<name>.json) lowered at the bench's
+/// size: args.jobs caps the trace (CompileOptions.max_jobs), --reps and
+/// --seed override the spec's sweep settings only when given, and
+/// --threads picks the worker count. Per-task results are kept for the
+/// charts, and --trace enables tracing as make_sweep() does. The spec,
+/// not the bench, defines the experiment.
+[[nodiscard]] scenario::CompiledScenario compile_catalog(const std::string& name,
+                                                         const BenchArgs& args);
 
 /// Run `spec`, printing a one-line progress note, and — unless disabled —
 /// a single-threaded reference sweep of the same spec to measure speedup.
@@ -127,10 +138,6 @@ void write_bench_json(const std::string& bench_name, const BenchArgs& args,
 /// Rescale a scenario's durations so total usage hits target_load of the
 /// (possibly modified) capacity. Used when benches shrink cluster counts.
 void rescale_to_capacity(workload::Scenario& scenario);
-
-/// Run a scenario through the full testbed with paper-default timings.
-[[nodiscard]] testbed::ExperimentResult run_scenario(const workload::Scenario& scenario,
-                                                     testbed::ExperimentConfig config = {});
 
 /// Pretty banner for bench output.
 void print_banner(const std::string& title, const std::string& paper_reference);

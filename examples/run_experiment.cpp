@@ -1,23 +1,24 @@
-// Config-driven experiment runner: read a JSON experiment spec, run it
-// through the full testbed, print the measurement summary, and optionally
-// export the workload as SWF/CSV.
+// Spec-driven experiment runner: compile a scenario spec (see
+// src/scenario/spec.hpp), run its first variant's first task through the
+// full testbed, print the measurement summary, and optionally export the
+// workload as SWF/CSV.
 //
 // Usage:
-//   ./build/examples/run_experiment <spec.json> [trace-out.{swf,csv}]
+//   ./build/examples/run_experiment <spec.json | catalog-name> [trace-out.{swf,csv}]
 //
-// Example spec (see src/testbed/config.hpp for all keys):
+// Example spec (examples/specs/ has two more):
 //   {
-//     "scenario": "bursty",
-//     "jobs": 6000,
-//     "timings": {"service_update_interval": 60},
-//     "fairshare": {"projection": {"kind": "dictionary"}},
-//     "sites": {"5": {"rm": "maui"}}
+//     "name": "bursty_dictionary",
+//     "workload": {"base": "bursty", "jobs": 6000},
+//     "experiment": {
+//       "timings": {"service_update_interval": 60},
+//       "fairshare": {"projection": {"kind": "dictionary"}},
+//       "sites": {"5": {"rm": "maui"}}
+//     }
 //   }
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 
-#include "testbed/config.hpp"
+#include "scenario/catalog.hpp"
 #include "util/strings.hpp"
 #include "workload/trace_io.hpp"
 
@@ -25,37 +26,35 @@ int main(int argc, char** argv) {
   using namespace aequus;
 
   if (argc < 2) {
-    std::fprintf(stderr, "usage: %s <spec.json> [trace-out.{swf,csv}]\n", argv[0]);
+    std::fprintf(stderr, "usage: %s <spec.json | catalog-name> [trace-out.{swf,csv}]\n",
+                 argv[0]);
     return 2;
   }
 
-  json::Value spec;
   try {
-    std::ifstream in(argv[1]);
-    if (!in) throw std::runtime_error(std::string("cannot open ") + argv[1]);
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    spec = json::parse(buffer.str());
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error reading spec: %s\n", e.what());
-    return 1;
-  }
-
-  try {
-    const auto scenario = json::decode<workload::Scenario>(spec);
-    const auto config = json::decode<testbed::ExperimentConfig>(spec);
+    scenario::CompileOptions options;
+    options.replications = 1;
+    testbed::SweepSpec sweep =
+        scenario::compile(scenario::load_spec_file(scenario::resolve_spec(argv[1])), options)
+            .sweep;
+    // Task 0 of the full sweep: the first variant's first replication,
+    // with the same derived seed a scenario_run of the spec gives it.
+    sweep.variants.erase(sweep.variants.begin() + 1, sweep.variants.end());
+    sweep.keep_results = true;
+    const workload::Scenario& scenario = sweep.variants.front().scenario;
 
     std::printf("scenario '%s': %zu jobs, %d clusters x %d hosts, %.1f h window\n",
-                scenario.name.c_str(), scenario.trace.size(), scenario.cluster_count,
-                scenario.hosts_per_cluster, scenario.duration_seconds / 3600.0);
+                sweep.variants.front().name.c_str(), scenario.trace.size(),
+                scenario.cluster_count, scenario.hosts_per_cluster,
+                scenario.duration_seconds / 3600.0);
 
     if (argc > 2) {
       workload::save_trace(argv[2], scenario.trace);
       std::printf("workload exported to %s\n", argv[2]);
     }
 
-    testbed::Experiment experiment(scenario, config);
-    const testbed::ExperimentResult result = experiment.run();
+    const testbed::SweepResult run = testbed::run_sweep(sweep);
+    const testbed::ExperimentResult& result = run.tasks.front().result;
 
     std::printf("\n%s\n",
                 result.priorities
@@ -68,8 +67,8 @@ int main(int argc, char** argv) {
                 100.0 * result.mean_utilization,
                 util::format_duration(result.makespan).c_str());
     const double convergence =
-        result.priority_convergence_time(0.05, scenario.duration_seconds);
-    std::printf("priority convergence (+-0.05): %s\n",
+        result.priority_convergence_time(sweep.convergence_epsilon, scenario.duration_seconds);
+    std::printf("priority convergence (+-%.2f): %s\n", sweep.convergence_epsilon,
                 convergence >= 0 ? util::format("%.0f min", convergence / 60.0).c_str()
                                  : "not reached");
     std::printf("final usage shares:");

@@ -32,6 +32,13 @@ std::vector<std::string> list_catalog(const std::string& dir) {
   return paths;
 }
 
+std::string resolve_spec(const std::string& spec, const std::string& dir) {
+  if (std::filesystem::exists(spec)) return spec;
+  const std::filesystem::path named =
+      std::filesystem::path(dir.empty() ? catalog_dir() : dir) / (spec + ".json");
+  return std::filesystem::exists(named) ? named.string() : spec;
+}
+
 ScenarioSpec load_spec_file(const std::string& path) {
   const std::string filename = std::filesystem::path(path).filename().string();
   std::ifstream in(path);

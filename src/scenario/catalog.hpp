@@ -22,6 +22,12 @@ namespace aequus::scenario {
 /// sorted by filename so catalog order is stable across platforms.
 [[nodiscard]] std::vector<std::string> list_catalog(const std::string& dir = {});
 
+/// A spec argument is a file path, or a bare catalog name resolved to
+/// <dir>/<name>.json (dir defaults to catalog_dir()) when no such file
+/// exists. Unresolvable names come back unchanged, so load_spec_file
+/// reports them as unopenable.
+[[nodiscard]] std::string resolve_spec(const std::string& spec, const std::string& dir = {});
+
 /// Read and parse one spec file. SpecError messages are prefixed with the
 /// file name ("fig10_baseline.json: $.phases[0].end: ...").
 [[nodiscard]] ScenarioSpec load_spec_file(const std::string& path);

@@ -6,9 +6,8 @@
 // capacity rescale), expands variants (per-variant time scale + deep-
 // merged experiment overlay), lowers run-fraction times into seconds
 // (FaultPlan outages, offload windows), and attaches determinism
-// fingerprints. A spec with no modifiers lowers to byte-for-byte the
-// same scenario + config a hand-coded bench builds — that identity is
-// what the fig10-13 golden tests pin.
+// fingerprints. The fig10-13 benches compile the catalog specs through
+// here too, so a spec is the one definition of its experiment.
 #pragma once
 
 #include <cstdint>

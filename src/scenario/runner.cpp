@@ -264,24 +264,7 @@ json::Value report_to_json(const ScenarioReport& report) {
   }
   out["gates"] = json::Value(std::move(gates));
 
-  json::Object variants;
-  for (const auto& [variant_name, metrics] : report.sweep.aggregates) {
-    json::Object metrics_json;
-    for (const auto& [metric, summary] : metrics) {
-      json::Object cell;
-      cell["count"] = summary.count;
-      cell["mean"] = summary.mean;
-      cell["stddev"] = summary.stddev;
-      cell["ci95_half"] = summary.ci95_half;
-      cell["min"] = summary.min;
-      cell["max"] = summary.max;
-      metrics_json[metric] = json::Value(std::move(cell));
-    }
-    json::Object variant_json;
-    variant_json["metrics"] = json::Value(std::move(metrics_json));
-    variants[variant_name] = json::Value(std::move(variant_json));
-  }
-  out["variants"] = json::Value(std::move(variants));
+  out["variants"] = testbed::variants_to_json(report.sweep);
 
   // Head-to-head comparison table (DESIGN.md §6j): one row per variant
   // with its resolved fairness backend and the faceoff columns —

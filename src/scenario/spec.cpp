@@ -4,6 +4,7 @@
 #include <cmath>
 #include <initializer_list>
 
+#include "testbed/config.hpp"
 #include "util/strings.hpp"
 
 namespace aequus::scenario {
@@ -257,10 +258,9 @@ FaultSpec parse_faults(const json::Value& value, const std::string& path) {
 }
 
 /// Fairness backend selection: a bare backend name ("credit") or an
-/// object with per-policy tuning. Unlike the lenient ExperimentConfig
-/// decode, an unknown backend here fails with the registry's live name
-/// list at the exact path — "$.fairness.backend: unknown fairness
-/// backend 'x' (expected aequus | balanced | credit)".
+/// object with per-policy tuning. An unknown backend fails with the
+/// registry's live name list at the exact path — "$.fairness.backend:
+/// unknown fairness backend 'x' (expected aequus | balanced | credit)".
 core::FairnessBackendConfig parse_fairness(const json::Value& value, const std::string& path) {
   core::FairnessBackendConfig config;
   if (value.is_string()) {
@@ -292,15 +292,19 @@ core::FairnessBackendConfig parse_fairness(const json::Value& value, const std::
   return config;
 }
 
-/// ExperimentConfig objects are decoded leniently by the testbed decoder;
-/// the DSL still rejects unknown *top-level* keys so a typo like
-/// "sample_intervall" cannot silently keep the default.
-void check_experiment_keys(const json::Value& value, const std::string& path) {
-  const json::Object& object = as_object(value, path);
-  reject_unknown_keys(object, path,
-                      {"dispatch", "timings", "fairshare", "bus_remote_latency",
-                       "sample_interval", "seed_rng", "record_per_site", "drain_seconds",
-                       "sites", "offloads", "usage_batching"});
+/// An experiment overlay is validated by decoding it on its own (every
+/// ExperimentConfig key is optional, so a partial overlay decodes), so
+/// the DSL and the testbed share one schema. Decoder errors carry their
+/// key path ("timings.servce_update_interval: unknown key"), prefixed
+/// here with the overlay's own path.
+json::Value parse_experiment(const json::Value& value, const std::string& path) {
+  (void)as_object(value, path);
+  try {
+    (void)json::decode<testbed::ExperimentConfig>(value);
+  } catch (const std::exception& error) {
+    throw SpecError(path + "." + error.what());
+  }
+  return value;
 }
 
 std::vector<VariantSpec> parse_variants(const json::Value& value, const std::string& path) {
@@ -318,8 +322,7 @@ std::vector<VariantSpec> parse_variants(const json::Value& value, const std::str
       fail(item_path + ".scale", util::format("%g must be > 0", variant.scale));
     }
     if (const json::Value* experiment = find(object, "experiment")) {
-      check_experiment_keys(*experiment, item_path + ".experiment");
-      variant.experiment = *experiment;
+      variant.experiment = parse_experiment(*experiment, item_path + ".experiment");
     }
     variants.push_back(std::move(variant));
   }
@@ -430,8 +433,7 @@ ScenarioSpec parse_spec(const json::Value& value) {
     spec.fairness = parse_fairness(*fairness, path + ".fairness");
   }
   if (const json::Value* experiment = find(object, "experiment")) {
-    check_experiment_keys(*experiment, path + ".experiment");
-    spec.experiment = *experiment;
+    spec.experiment = parse_experiment(*experiment, path + ".experiment");
   }
   if (const json::Value* variants = find(object, "variants")) {
     spec.variants = parse_variants(*variants, path + ".variants");

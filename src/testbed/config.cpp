@@ -1,36 +1,68 @@
 #include "testbed/config.hpp"
 
+#include <algorithm>
+#include <charconv>
+#include <initializer_list>
 #include <stdexcept>
+#include <string_view>
 
 #include "core/backend.hpp"
 #include "core/projection.hpp"
 
-aequus::workload::Scenario aequus::json::Decoder<aequus::workload::Scenario>::decode(
-    const Value& spec) {
-  namespace workload = aequus::workload;
-  const std::string name = spec.get_string("scenario", "baseline");
-  const auto jobs = static_cast<std::size_t>(spec.get_number("jobs", 43200));
-  const auto seed = static_cast<std::uint64_t>(spec.get_number("seed", 2012));
-  if (name == "baseline") return workload::baseline_scenario(seed, jobs);
-  if (name == "nonoptimal-policy") return workload::nonoptimal_policy_scenario(seed, jobs);
-  if (name == "bursty") return workload::bursty_scenario(seed, jobs);
-  throw std::invalid_argument("unknown scenario: " + name);
+namespace {
+
+using aequus::json::Value;
+
+/// Strict key check for an object the decoder reads itself: a typo must
+/// fail with its key path ("timings.servce_update_interval: unknown
+/// key"), not silently keep the default.
+const Value& checked_object(const Value& value, const std::string& path,
+                            std::initializer_list<std::string_view> keys) {
+  if (!value.is_object()) {
+    throw std::invalid_argument((path.empty() ? "experiment" : path) + ": expected an object");
+  }
+  for (const auto& [key, member] : value.as_object()) {
+    (void)member;
+    if (std::find(keys.begin(), keys.end(), key) == keys.end()) {
+      throw std::invalid_argument((path.empty() ? key : path + "." + key) + ": unknown key");
+    }
+  }
+  return value;
 }
 
+/// Decode a nested value with its own type's decoder, prefixing any
+/// failure with the key path so every error names where it happened.
+template <typename Decode>
+auto at_path(const std::string& path, Decode decode) {
+  try {
+    return decode();
+  } catch (const std::exception& error) {
+    throw std::invalid_argument(path + ": " + error.what());
+  }
+}
+
+}  // namespace
+
 aequus::testbed::ExperimentConfig aequus::json::Decoder<aequus::testbed::ExperimentConfig>::decode(
-    const Value& spec) {
+    const Value& value) {
   namespace core = aequus::core;
   namespace json = aequus::json;
   using namespace aequus::testbed;
   ExperimentConfig config;
+  const Value& spec = checked_object(
+      value, "",
+      {"dispatch", "timings", "fairshare", "bus_remote_latency", "sample_interval",
+       "record_per_site", "drain_seconds", "usage_batching", "sites"});
 
   const std::string dispatch = spec.get_string("dispatch", "stochastic");
   if (dispatch == "stochastic") config.dispatch = DispatchPolicy::kStochastic;
   else if (dispatch == "round-robin") config.dispatch = DispatchPolicy::kRoundRobin;
-  else throw std::invalid_argument("unknown dispatch policy: " + dispatch);
+  else throw std::invalid_argument("dispatch: unknown dispatch policy '" + dispatch + "'");
 
   if (const auto timings = spec.find("timings")) {
-    const auto& t = timings->get();
+    const auto& t = checked_object(timings->get(), "timings",
+                                   {"service_update_interval", "client_cache_ttl",
+                                    "reprioritize_interval", "uss_bin_width", "uss_retention"});
     config.timings.service_update_interval =
         t.get_number("service_update_interval", config.timings.service_update_interval);
     config.timings.client_cache_ttl =
@@ -43,30 +75,40 @@ aequus::testbed::ExperimentConfig aequus::json::Decoder<aequus::testbed::Experim
         t.get_number("uss_retention", config.timings.uss_retention);
   }
   if (const auto fairshare = spec.find("fairshare")) {
-    const auto& f = fairshare->get();
+    const auto& f = checked_object(fairshare->get(), "fairshare",
+                                   {"decay", "algorithm", "projection", "backend"});
     if (const auto decay = f.find("decay")) {
-      config.fairshare.decay = core::Decay::from_json(decay->get()).config();
+      config.fairshare.decay = at_path("fairshare.decay", [&] {
+        return core::Decay::from_json(decay->get()).config();
+      });
     }
     if (const auto algorithm = f.find("algorithm")) {
-      config.fairshare.algorithm = json::decode<core::FairshareConfig>(algorithm->get());
+      config.fairshare.algorithm = at_path("fairshare.algorithm", [&] {
+        return json::decode<core::FairshareConfig>(algorithm->get());
+      });
     }
     if (const auto projection = f.find("projection")) {
-      config.fairshare.projection = json::decode<core::ProjectionConfig>(projection->get());
+      config.fairshare.projection = at_path("fairshare.projection", [&] {
+        return json::decode<core::ProjectionConfig>(projection->get());
+      });
     }
     if (const auto backend = f.find("backend")) {
       // Accepts a bare name ("credit") or the object form with
       // per-policy tuning; unknown names throw here.
-      config.fairshare.backend = json::decode<core::FairnessBackendConfig>(backend->get());
+      config.fairshare.backend = at_path("fairshare.backend", [&] {
+        return json::decode<core::FairnessBackendConfig>(backend->get());
+      });
     }
   }
   config.bus_remote_latency = spec.get_number("bus_remote_latency", config.bus_remote_latency);
   config.sample_interval = spec.get_number("sample_interval", config.sample_interval);
-  config.seed = static_cast<std::uint64_t>(spec.get_number("seed_rng", config.seed));
   config.record_per_site = spec.get_bool("record_per_site", config.record_per_site);
   config.drain_seconds = spec.get_number("drain_seconds", config.drain_seconds);
 
   if (const auto batching = spec.find("usage_batching")) {
-    const auto& b = batching->get();
+    const auto& b = checked_object(batching->get(), "usage_batching",
+                                   {"enabled", "batch_interval", "max_batch_records",
+                                    "queue_capacity", "overflow"});
     auto& ingest = config.usage_batching;
     ingest.enabled = b.get_bool("enabled", true);
     ingest.batch_interval = b.get_number("batch_interval", ingest.batch_interval);
@@ -78,31 +120,27 @@ aequus::testbed::ExperimentConfig aequus::json::Decoder<aequus::testbed::Experim
     const std::string overflow = b.get_string("overflow", "block");
     if (overflow == "block") ingest.overflow = aequus::ingest::OverflowPolicy::kBlockProducer;
     else if (overflow == "drop-oldest") ingest.overflow = aequus::ingest::OverflowPolicy::kDropOldest;
-    else throw std::invalid_argument("unknown ingest overflow policy: " + overflow);
-  }
-
-  if (const auto offloads = spec.find("offloads")) {
-    for (const auto& entry : offloads->get().as_array()) {
-      OffloadRule rule;
-      rule.from_site = static_cast<int>(entry.get_number("from_site", -1));
-      rule.to_site = static_cast<int>(entry.get_number("to_site", 0));
-      rule.fraction = entry.get_number("fraction", 0.0);
-      rule.start = entry.get_number("start", 0.0);
-      rule.end = entry.get_number("end", rule.end);
-      config.offloads.push_back(rule);
-    }
+    else throw std::invalid_argument("usage_batching.overflow: unknown policy '" + overflow + "'");
   }
 
   if (const auto sites = spec.find("sites")) {
-    for (const auto& [index_text, overrides] : sites->get().as_object()) {
-      const int index = std::atoi(index_text.c_str());
+    if (!sites->get().is_object()) throw std::invalid_argument("sites: expected an object");
+    for (const auto& [index_text, entry] : sites->get().as_object()) {
+      const std::string path = "sites." + index_text;
+      int index = -1;
+      const char* end = index_text.data() + index_text.size();
+      if (std::from_chars(index_text.data(), end, index).ptr != end || index < 0) {
+        throw std::invalid_argument(path + ": site key must be a site index");
+      }
+      const auto& overrides = checked_object(
+          entry, path, {"contributes", "reads_global", "rm", "hosts", "cores_per_host"});
       SiteSpec site;
       site.participation.contributes = overrides.get_bool("contributes", true);
       site.participation.reads_global = overrides.get_bool("reads_global", true);
       const std::string rm = overrides.get_string("rm", "slurm");
       if (rm == "slurm") site.rm = RmKind::kSlurm;
       else if (rm == "maui") site.rm = RmKind::kMaui;
-      else throw std::invalid_argument("unknown rm kind: " + rm);
+      else throw std::invalid_argument(path + ".rm: unknown rm kind '" + rm + "'");
       site.hosts = static_cast<int>(overrides.get_number("hosts", 0));
       site.cores_per_host = static_cast<int>(overrides.get_number("cores_per_host", 0));
       config.site_overrides[index] = site;

@@ -1,37 +1,37 @@
-// JSON configuration for testbed experiments.
+// JSON decoding of testbed experiment configurations.
 //
-// An experiment spec bundles the workload scenario selection with the
-// ExperimentConfig knobs, enabling config-file-driven runs (see
-// examples/run_experiment):
+// The scenario DSL's "experiment" objects (src/scenario/spec.hpp) decode
+// through this: every key is optional, and unknown keys are rejected in
+// every object the decoder reads itself, with the key path in the error
+// ("timings.servce_update_interval: unknown key"):
 //
 //   {
-//     "scenario": "baseline" | "nonoptimal-policy" | "bursty",
-//     "jobs": 43200, "seed": 2012,
 //     "dispatch": "stochastic" | "round-robin",
 //     "timings": {"service_update_interval": 30, "client_cache_ttl": 30,
-//                 "reprioritize_interval": 30, "uss_bin_width": 600},
-//     "fairshare": {"decay": {...}, "algorithm": {...}, "projection": {...}},
-//     "sample_interval": 60, "seed_rng": 7, "record_per_site": false,
+//                 "reprioritize_interval": 30, "uss_bin_width": 600,
+//                 "uss_retention": ...},
+//     "fairshare": {"decay": {...}, "algorithm": {...}, "projection": {...},
+//                   "backend": "aequus" | {...}},
+//     "bus_remote_latency": 0.1, "sample_interval": 60,
+//     "record_per_site": false, "drain_seconds": 1800,
+//     "usage_batching": {"enabled": true, "batch_interval": 5, ...},
 //     "sites": {"4": {"contributes": false}, "5": {"reads_global": false,
 //               "rm": "maui"}}
 //   }
+//
+// The experiment seed and offload windows are not config keys: sweeps
+// derive a seed per task, and the DSL's run-fraction "offloads" key
+// lowers into ExperimentConfig::offloads.
 #pragma once
 
 #include "json/decode.hpp"
 #include "json/json.hpp"
 #include "testbed/experiment.hpp"
-#include "workload/scenarios.hpp"
-
-/// json::decode<workload::Scenario> support: builds the scenario named by
-/// the spec ("baseline", "nonoptimal-policy", or "bursty"), honoring
-/// "jobs" and "seed". Throws on unknown names.
-template <>
-struct aequus::json::Decoder<aequus::workload::Scenario> {
-  [[nodiscard]] static aequus::workload::Scenario decode(const Value& spec);
-};
 
 /// json::decode<testbed::ExperimentConfig> support: builds the experiment
-/// configuration from the spec (all keys optional).
+/// configuration from the spec (all keys optional). Throws
+/// std::invalid_argument("<key path>: <reason>") on unknown keys and
+/// unknown enum values.
 template <>
 struct aequus::json::Decoder<aequus::testbed::ExperimentConfig> {
   [[nodiscard]] static aequus::testbed::ExperimentConfig decode(const Value& spec);

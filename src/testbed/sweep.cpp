@@ -155,6 +155,33 @@ std::map<std::string, double> scalar_metrics(const ExperimentResult& result,
   return metrics;
 }
 
+json::Value variants_to_json(const SweepResult& result) {
+  json::Object variants;
+  for (const auto& [variant, metrics] : result.aggregates) {
+    json::Object metric_obj;
+    for (const auto& [metric, summary] : metrics) {
+      json::Object cell;
+      cell["count"] = summary.count;
+      cell["mean"] = summary.mean;
+      cell["stddev"] = summary.stddev;
+      cell["ci95_half"] = summary.ci95_half;
+      cell["min"] = summary.min;
+      cell["max"] = summary.max;
+      metric_obj[metric] = json::Value(std::move(cell));
+    }
+    json::Object variant_obj;
+    variant_obj["metrics"] = json::Value(std::move(metric_obj));
+    // Histogram bucket layouts are the source of truth tools/trace_analyze
+    // --report and bench_gate.py read histogram bounds from.
+    const auto obs = result.obs.find(variant);
+    if (obs != result.obs.end() && !obs->second.empty()) {
+      variant_obj["obs"] = obs->second.to_json();
+    }
+    variants[variant] = json::Value(std::move(variant_obj));
+  }
+  return json::Value(std::move(variants));
+}
+
 std::vector<const SweepTaskResult*> SweepResult::tasks_of(std::size_t variant_index) const {
   std::vector<const SweepTaskResult*> selected;
   for (const auto& task : tasks) {

@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "json/json.hpp"
 #include "testbed/experiment.hpp"
 #include "workload/scenarios.hpp"
 
@@ -132,6 +133,12 @@ struct SweepResult {
 
 /// Mean / sample stddev / Student-t 95 % CI of `samples` (empty -> zeros).
 [[nodiscard]] MetricSummary summarize(const std::vector<double>& samples);
+
+/// The per-variant block of BENCH and scenario reports: for each variant,
+/// {"metrics": {<metric>: {count, mean, stddev, ci95_half, min, max}},
+///  "obs": <merged registry snapshot, histogram layouts included>}. The
+/// "obs" key is omitted for a variant whose snapshot is empty.
+[[nodiscard]] json::Value variants_to_json(const SweepResult& result);
 
 /// Run every (variant, replication) task, on `spec.threads` workers, and
 /// aggregate. Deterministic in everything except the wall-clock fields.

@@ -77,21 +77,6 @@ TEST(InstallationConfigJson, RoundTripsThroughToJson) {
   EXPECT_DOUBLE_EQ(restored.fcs.algorithm.distance_weight_k, 0.9);
 }
 
-TEST(ExperimentConfigJson, ScenarioSelection) {
-  const auto baseline =
-      json::decode<workload::Scenario>(json::parse(R"({"scenario":"baseline","jobs":100})"));
-  EXPECT_EQ(baseline.name, "baseline");
-  EXPECT_EQ(baseline.trace.size(), 100u);
-  const auto bursty =
-      json::decode<workload::Scenario>(json::parse(R"({"scenario":"bursty","jobs":100})"));
-  EXPECT_EQ(bursty.name, "bursty");
-  const auto skewed = json::decode<workload::Scenario>(
-      json::parse(R"({"scenario":"nonoptimal-policy","jobs":100})"));
-  EXPECT_DOUBLE_EQ(skewed.policy_shares.at("U65"), 0.70);
-  EXPECT_THROW(json::decode<workload::Scenario>(json::parse(R"({"scenario":"x"})")),
-               std::invalid_argument);
-}
-
 TEST(ExperimentConfigJson, FullSpecParses) {
   const auto spec = json::parse(R"({
     "dispatch": "round-robin",
@@ -102,7 +87,6 @@ TEST(ExperimentConfigJson, FullSpecParses) {
                   "projection": {"kind": "bitwise", "bits_per_level": 4}},
     "bus_remote_latency": 0.5,
     "sample_interval": 45,
-    "seed_rng": 99,
     "record_per_site": true,
     "sites": {"2": {"contributes": false, "rm": "maui", "hosts": 13}}
   })");
@@ -118,7 +102,6 @@ TEST(ExperimentConfigJson, FullSpecParses) {
   EXPECT_EQ(config.fairshare.projection.kind, core::ProjectionKind::kBitwiseVector);
   EXPECT_DOUBLE_EQ(config.bus_remote_latency, 0.5);
   EXPECT_DOUBLE_EQ(config.sample_interval, 45.0);
-  EXPECT_EQ(config.seed, 99u);
   EXPECT_TRUE(config.record_per_site);
   ASSERT_EQ(config.site_overrides.count(2), 1u);
   EXPECT_FALSE(config.site_overrides.at(2).participation.contributes);

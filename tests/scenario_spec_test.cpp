@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <string>
 
+#include "scenario/catalog.hpp"
 #include "scenario/compile.hpp"
 #include "scenario/spec.hpp"
 #include "workload/scenarios.hpp"
@@ -169,6 +170,43 @@ TEST(ScenarioSpecDecode, FaultValidation) {
 TEST(ScenarioSpecDecode, ExperimentTypoRejectedAtTopLevel) {
   expect_error(R"({"name": "x", "experiment": {"sample_intervall": 60}})",
                "$.experiment.sample_intervall: unknown key");
+}
+
+TEST(ScenarioSpecDecode, NestedExperimentTyposRejected) {
+  // One schema: an overlay is validated by the ExperimentConfig decoder
+  // itself, so typos in nested objects fail too, at their full path.
+  expect_error(R"({"name": "x", "experiment": {"timings": {"servce_update_interval": 600}}})",
+               "$.experiment.timings.servce_update_interval: unknown key");
+  expect_error(R"({"name": "x", "experiment": {"fairshare": {"decayy": {}}}})",
+               "$.experiment.fairshare.decayy: unknown key");
+  expect_error(R"({"name": "x", "experiment": {"sites": {"3": {"rmm": "maui"}}}})",
+               "$.experiment.sites.3.rmm: unknown key");
+  expect_error(R"({"name": "x", "variants": [{"name": "y", "experiment":
+                   {"usage_batching": {"intervall": 5}}}]})",
+               "$.variants[0].experiment.usage_batching.intervall: unknown key");
+  expect_error(R"({"name": "x", "experiment": {"dispatch": "magic"}})",
+               "$.experiment.dispatch: unknown dispatch policy 'magic'");
+}
+
+TEST(ScenarioSpecDecode, DeadExperimentKeysRejected) {
+  // seed_rng was overwritten by every sweep task's derived seed, and
+  // experiment.offloads duplicated the spec-level run-fraction key.
+  expect_error(R"({"name": "x", "experiment": {"seed_rng": 999}})",
+               "$.experiment.seed_rng: unknown key");
+  expect_error(R"({"name": "x", "experiment": {"offloads": [{"to_site": 0}]}})",
+               "$.experiment.offloads: unknown key");
+}
+
+TEST(ScenarioSpecDecode, SpecsOutsideTheCatalogLoad) {
+  // The example specs and the end-to-end benchmark's workload decode
+  // through the same strict schema as the catalog (which
+  // scenario_catalog_test loads).
+  std::vector<std::string> paths = list_catalog(AEQUUS_SOURCE_DIR "/examples/specs");
+  ASSERT_FALSE(paths.empty());
+  paths.push_back(AEQUUS_SOURCE_DIR "/e2ebench/burst_mixed.json");
+  for (const std::string& path : paths) {
+    EXPECT_NO_THROW((void)load_spec_file(path)) << path;
+  }
 }
 
 TEST(ScenarioSpecDecode, VariantValidation) {
@@ -358,6 +396,18 @@ TEST(Compile, OffloadSiteOutOfRangeThrows) {
       R"({"name": "x", "workload": {"jobs": 50},
           "offloads": [{"to_site": 12, "fraction": 0.5}]})");
   EXPECT_THROW((void)compile(spec), SpecError);
+}
+
+TEST(Compile, UnknownBaseWorkloadThrows) {
+  // parse_spec rejects the name first; compile() guards specs built in code.
+  ScenarioSpec spec = parse_spec_text(R"({"name": "x", "workload": {"jobs": 50}})");
+  spec.workload.base = "x";
+  try {
+    (void)compile(spec);
+    FAIL() << "expected SpecError for an unknown base workload";
+  } catch (const SpecError& error) {
+    EXPECT_STREQ(error.what(), "$.workload.base: unknown base workload 'x'");
+  }
 }
 
 TEST(Compile, UnknownOutageSiteNameThrows) {

@@ -1,22 +1,27 @@
 #!/usr/bin/env python3
 """Bench regression gate.
 
-Compares a machine-readable bench report (the BENCH_<name>.json files the
-sweep-capable benches emit) against a checked-in baseline, metric by
-metric, with a relative tolerance. Two modes:
+Compares a machine-readable report against a checked-in baseline, metric
+by metric, with a relative tolerance. Two report kinds are gated:
 
-  # run a bench, then compare its emitted report
-  bench_gate.py --bench ./build/bench/bench_fig10_baseline \
-      --bench-args "800 --reps 2 --threads 2 --no-serial-reference" \
-      --out-dir ./build/bench-gate \
-      --baseline tools/bench_baselines/BENCH_fig10_baseline.json
+  # the sweep gate: a tools/scenario_run report (aequus-scenario-report-v1)
+  scenario_run fig10_baseline fig13_bursty backend_faceoff --max-jobs 800 \
+      --reps 2 --threads 2 --no-determinism --json scenario-gate.json
+  bench_gate.py --compare scenario-gate.json \
+      --baseline tools/bench_baselines/SCENARIO_gate.json
 
-  # compare an already-emitted report
-  bench_gate.py --compare BENCH_fig10_baseline.json \
-      --baseline tools/bench_baselines/BENCH_fig10_baseline.json
+  # the wall-ratio gates: run a bench, then compare its BENCH_<name>.json
+  bench_gate.py --bench ./build/bench/bench_incremental \
+      --bench-args "240 --reps 5" --out-dir ./build/bench-gate \
+      --baseline tools/bench_baselines/BENCH_incremental.json
 
-A third mode schema-checks the JSON reports tools/scenario_run emits
-(aequus-scenario-report-v1) without gating any values:
+A scenario report must carry the same scenarios as its baseline, each
+with the same job count, task count and variant set, and the same
+per-task fingerprints. A BENCH report must match its baseline's run
+configuration (bench, jobs, replications, root seed) and variant names.
+Comparing different configurations is refused, not fudged.
+
+A third mode schema-checks scenario reports without gating any values:
 
   bench_gate.py --validate-scenario-report ./build/scenario-report.json
 
@@ -28,11 +33,10 @@ emit via --metrics FILE (aequus-metrics-dump-v1):
 The gated quantity is each variant's aggregate *mean* per metric; the
 sweep's metrics are deterministic for a fixed (jobs, replications, seed)
 triple and independent of the thread count, so the tolerance (default
-15 %) only needs to absorb cross-platform floating-point drift. Run
-configuration (jobs, replications, root seed, variant names) must match
-the baseline exactly — comparing different configurations is refused, not
-fudged. Wall-clock fields are reported but never gated: they depend on
-the machine, not the code's correctness.
+15 %) only needs to absorb cross-platform floating-point drift.
+Histogram bucket layouts (the "obs" block of each variant) must be
+identical. Wall-clock fields are reported but never gated: they depend
+on the machine, not the code's correctness.
 
 A baseline metric entry may carry "floor" and/or "ceiling" instead of a
 mean, turning the gate one-sided: the emitted mean must stay >= floor
@@ -44,9 +48,9 @@ microseconds they are derived from are machine-specific.
 Exit codes: 0 pass, 1 regression or mismatch, 77 skipped (missing
 baseline/report — wired to ctest's SKIP_RETURN_CODE), 2 usage error.
 
-Refresh a baseline intentionally with:
-  ./build/bench/bench_fig10_baseline 800 --reps 2 --no-serial-reference \
-      --json-dir tools/bench_baselines
+Refresh a baseline intentionally by rerunning its command with the
+output aimed at tools/bench_baselines/ (for the sweep gate:
+--json tools/bench_baselines/SCENARIO_gate.json).
 """
 
 import argparse
@@ -70,10 +74,10 @@ def load(path: Path, role: str):
         return json.load(fh)
 
 
-def histogram_layouts(report: dict) -> dict:
+def histogram_layouts(variants: dict) -> dict:
     """variant.histogram -> its bucket layout (spec + explicit bounds)."""
     layouts = {}
-    for variant, payload in report.get("variants", {}).items():
+    for variant, payload in variants.items():
         for key, hist in payload.get("obs", {}).get("histograms", {}).items():
             layouts[f"{variant}.{key}"] = {
                 "spec": hist.get("spec"),
@@ -82,32 +86,23 @@ def histogram_layouts(report: dict) -> dict:
     return layouts
 
 
-def compare(emitted: dict, baseline: dict, tolerance: float,
-            abs_epsilon: float = 1e-6) -> list[str]:
-    """Returns a list of human-readable failures (empty = gate passes)."""
-    failures = []
-    for key in CONFIG_KEYS:
-        if emitted.get(key) != baseline.get(key):
-            failures.append(
-                f"config mismatch: {key} = {emitted.get(key)!r}, "
-                f"baseline has {baseline.get(key)!r}"
-            )
-    if failures:
-        return failures  # different run shape; metric diffs would be noise
-
-    base_variants = baseline.get("variants", {})
-    new_variants = emitted.get("variants", {})
+def compare_variants(base_variants: dict, new_variants: dict, tolerance: float,
+                     abs_epsilon: float, prefix: str = "") -> list[str]:
+    """Gate one set of per-variant blocks: metric means and histogram layouts."""
     if set(base_variants) != set(new_variants):
         return [
-            f"variant set changed: {sorted(new_variants)} vs baseline {sorted(base_variants)}"
+            f"{prefix}variant set changed: {sorted(new_variants)} "
+            f"vs baseline {sorted(base_variants)}"
         ]
 
+    failures = []
     for variant, payload in sorted(base_variants.items()):
         for metric, summary in sorted(payload.get("metrics", {}).items()):
+            where = f"{prefix}{variant}.{metric}"
             expected = summary.get("mean")
             actual = new_variants[variant].get("metrics", {}).get(metric, {}).get("mean")
             if actual is None:
-                failures.append(f"{variant}.{metric}: missing from emitted report")
+                failures.append(f"{where}: missing from emitted report")
                 continue
             # One-sided contracts: a baseline entry may carry "floor"
             # and/or "ceiling" instead of a mean. These gate performance
@@ -118,13 +113,9 @@ def compare(emitted: dict, baseline: dict, tolerance: float,
             ceiling = summary.get("ceiling")
             if floor is not None or ceiling is not None:
                 if floor is not None and actual < floor:
-                    failures.append(
-                        f"{variant}.{metric}: {actual:.6g} below floor {floor:.6g}"
-                    )
+                    failures.append(f"{where}: {actual:.6g} below floor {floor:.6g}")
                 if ceiling is not None and actual > ceiling:
-                    failures.append(
-                        f"{variant}.{metric}: {actual:.6g} above ceiling {ceiling:.6g}"
-                    )
+                    failures.append(f"{where}: {actual:.6g} above ceiling {ceiling:.6g}")
                 continue
             # The allowed band is relative with an absolute floor: a purely
             # relative band collapses for near-zero baselines (a mean of
@@ -133,7 +124,7 @@ def compare(emitted: dict, baseline: dict, tolerance: float,
             band = max(tolerance * abs(expected), abs_epsilon)
             if abs(actual - expected) > band:
                 failures.append(
-                    f"{variant}.{metric}: {actual:.6g} deviates from baseline "
+                    f"{where}: {actual:.6g} deviates from baseline "
                     f"{expected:.6g} by more than {tolerance:.0%} (band {band:.6g})"
                 )
 
@@ -142,20 +133,73 @@ def compare(emitted: dict, baseline: dict, tolerance: float,
     # snapshot, and a silent layout change would make historical bucket
     # counts incomparable. Exact equality, no tolerance. Baselines that
     # predate the obs section simply contribute no layouts here.
-    base_layouts = histogram_layouts(baseline)
-    new_layouts = histogram_layouts(emitted)
+    base_layouts = histogram_layouts(base_variants)
+    new_layouts = histogram_layouts(new_variants)
     for key in sorted(base_layouts):
         if key not in new_layouts:
-            failures.append(f"{key}: histogram missing from emitted report")
+            failures.append(f"{prefix}{key}: histogram missing from emitted report")
             continue
         if base_layouts[key]["spec"] != new_layouts[key]["spec"]:
             failures.append(
-                f"{key}: histogram spec changed: {new_layouts[key]['spec']} "
+                f"{prefix}{key}: histogram spec changed: {new_layouts[key]['spec']} "
                 f"vs baseline {base_layouts[key]['spec']}"
             )
         elif base_layouts[key]["bounds"] != new_layouts[key]["bounds"]:
-            failures.append(f"{key}: histogram bucket bounds changed")
+            failures.append(f"{prefix}{key}: histogram bucket bounds changed")
     return failures
+
+
+def compare_scenarios(emitted: dict, baseline: dict, tolerance: float,
+                      abs_epsilon: float) -> list[str]:
+    """Gate a scenario report against a scenario-report baseline.
+
+    Per scenario (matched by name): the job and task counts must match
+    exactly, the variant blocks go through compare_variants, and the
+    per-task fingerprints must be identical. A fingerprint hashes every
+    sample of every series, so equal fingerprints mean the runs did not
+    move.
+    """
+    if emitted.get("schema") != SCENARIO_SCHEMA:
+        return [f"report schema {emitted.get('schema')!r} does not match the "
+                f"baseline's {SCENARIO_SCHEMA!r}"]
+    base = {entry.get("name"): entry for entry in baseline.get("scenarios", [])}
+    new = {entry.get("name"): entry for entry in emitted.get("scenarios", [])}
+    if set(base) != set(new):
+        return [f"scenario set changed: {sorted(map(str, new))} "
+                f"vs baseline {sorted(map(str, base))}"]
+
+    failures = []
+    for name, expected in sorted(base.items()):
+        actual = new[name]
+        shape = [f"{name}: {key} = {actual.get(key)!r}, baseline has {expected.get(key)!r}"
+                 for key in ("jobs", "tasks") if actual.get(key) != expected.get(key)]
+        if shape:
+            failures += shape  # a different run shape; metric diffs would be noise
+            continue
+        failures += compare_variants(expected.get("variants", {}), actual.get("variants", {}),
+                                     tolerance, abs_epsilon, prefix=f"{name}: ")
+        if actual.get("fingerprints") != expected.get("fingerprints"):
+            failures.append(f"{name}: fingerprints {actual.get('fingerprints')} differ from "
+                            f"baseline {expected.get('fingerprints')}")
+    return failures
+
+
+def compare(emitted: dict, baseline: dict, tolerance: float,
+            abs_epsilon: float = 1e-6) -> list[str]:
+    """Returns a list of human-readable failures (empty = gate passes)."""
+    if baseline.get("schema") == SCENARIO_SCHEMA:
+        return compare_scenarios(emitted, baseline, tolerance, abs_epsilon)
+    failures = []
+    for key in CONFIG_KEYS:
+        if emitted.get(key) != baseline.get(key):
+            failures.append(
+                f"config mismatch: {key} = {emitted.get(key)!r}, "
+                f"baseline has {baseline.get(key)!r}"
+            )
+    if failures:
+        return failures  # different run shape; metric diffs would be noise
+    return compare_variants(baseline.get("variants", {}), emitted.get("variants", {}),
+                            tolerance, abs_epsilon)
 
 
 SCENARIO_SCHEMA = "aequus-scenario-report-v1"
@@ -210,7 +254,7 @@ def validate_scenario_report(document) -> list[str]:
     Purely structural: gate *outcomes* are the scenario runner's job (and
     its exit code); this guards the report contract downstream tooling
     parses — schema tag, per-scenario gate entries, fingerprint shape,
-    and metric summaries.
+    metric summaries, and each variant's merged "obs" snapshot.
     """
     errors = []
     if not isinstance(document, dict):
@@ -289,6 +333,9 @@ def validate_scenario_report(document) -> list[str]:
                             f"{where}: variants[{vname!r}].metrics[{metric!r}] "
                             f"missing numeric {'/'.join(missing)}")
                         break
+                if "obs" in payload:
+                    _validate_snapshot(f"{where}: variants[{vname!r}].obs", payload["obs"],
+                                       errors)
 
         _validate_comparison(where, entry, errors)
     return errors
@@ -324,48 +371,55 @@ def validate_metrics_dump(document) -> list[str]:
         return errors
 
     for name, snapshot in sorted(snapshots.items()):
-        where = f"snapshots[{name!r}]"
-        if not isinstance(snapshot, dict):
-            errors.append(f"{where}: must be an object")
-            continue
-        for section in ("counters", "gauges", "histograms"):
-            if not isinstance(snapshot.get(section), dict):
-                errors.append(f"{where}: '{section}' must be an object")
-        if any(not isinstance(snapshot.get(s), dict)
-               for s in ("counters", "gauges", "histograms")):
-            continue
-        for key, value in sorted(snapshot["counters"].items()):
-            if not _is_count(value):
-                errors.append(f"{where}: counter {key!r} must be a non-negative "
-                              f"integer, got {value!r}")
-        for key, gauge in sorted(snapshot["gauges"].items()):
-            fields = ("last", "sum", "samples", "mean")
-            if (not isinstance(gauge, dict)
-                    or any(not isinstance(gauge.get(f), (int, float))
-                           or isinstance(gauge.get(f), bool) for f in fields)):
-                errors.append(f"{where}: gauge {key!r} needs numeric "
-                              f"{'/'.join(fields)}")
-        for key, hist in sorted(snapshot["histograms"].items()):
-            if (not isinstance(hist, dict)
-                    or not isinstance(hist.get("bounds"), list)
-                    or not isinstance(hist.get("counts"), list)
-                    or not _is_count(hist.get("count"))):
-                errors.append(f"{where}: histogram {key!r} needs bounds/counts arrays "
-                              "and an integer count")
-                continue
-            if len(hist["counts"]) != len(hist["bounds"]) + 1:
-                errors.append(
-                    f"{where}: histogram {key!r} has {len(hist['counts'])} bucket "
-                    f"count(s) for {len(hist['bounds'])} bound(s) "
-                    "(expected bounds + overflow)")
-            if not all(_is_count(c) for c in hist["counts"]):
-                errors.append(f"{where}: histogram {key!r} bucket counts must be "
-                              "non-negative integers")
-            elif hist["count"] != sum(hist["counts"]):
-                errors.append(
-                    f"{where}: histogram {key!r} count {hist['count']} != bucket "
-                    f"sum {sum(hist['counts'])}")
+        _validate_snapshot(f"snapshots[{name!r}]", snapshot, errors)
     return errors
+
+
+def _validate_snapshot(where: str, snapshot, errors: list[str]) -> None:
+    """Check one merged registry snapshot (a metrics-dump entry or a
+    report variant's "obs" block): counters are non-negative integers,
+    gauges numeric, and each histogram has one overflow bucket beyond its
+    bounds and a count equal to its bucket sum."""
+    if not isinstance(snapshot, dict):
+        errors.append(f"{where}: must be an object")
+        return
+    for section in ("counters", "gauges", "histograms"):
+        if not isinstance(snapshot.get(section), dict):
+            errors.append(f"{where}: '{section}' must be an object")
+    if any(not isinstance(snapshot.get(s), dict)
+           for s in ("counters", "gauges", "histograms")):
+        return
+    for key, value in sorted(snapshot["counters"].items()):
+        if not _is_count(value):
+            errors.append(f"{where}: counter {key!r} must be a non-negative "
+                          f"integer, got {value!r}")
+    for key, gauge in sorted(snapshot["gauges"].items()):
+        fields = ("last", "sum", "samples", "mean")
+        if (not isinstance(gauge, dict)
+                or any(not isinstance(gauge.get(f), (int, float))
+                       or isinstance(gauge.get(f), bool) for f in fields)):
+            errors.append(f"{where}: gauge {key!r} needs numeric "
+                          f"{'/'.join(fields)}")
+    for key, hist in sorted(snapshot["histograms"].items()):
+        if (not isinstance(hist, dict)
+                or not isinstance(hist.get("bounds"), list)
+                or not isinstance(hist.get("counts"), list)
+                or not _is_count(hist.get("count"))):
+            errors.append(f"{where}: histogram {key!r} needs bounds/counts arrays "
+                          "and an integer count")
+            continue
+        if len(hist["counts"]) != len(hist["bounds"]) + 1:
+            errors.append(
+                f"{where}: histogram {key!r} has {len(hist['counts'])} bucket "
+                f"count(s) for {len(hist['bounds'])} bound(s) "
+                "(expected bounds + overflow)")
+        if not all(_is_count(c) for c in hist["counts"]):
+            errors.append(f"{where}: histogram {key!r} bucket counts must be "
+                          "non-negative integers")
+        elif hist["count"] != sum(hist["counts"]):
+            errors.append(
+                f"{where}: histogram {key!r} count {hist['count']} != bucket "
+                f"sum {sum(hist['counts'])}")
 
 
 def self_test() -> int:
@@ -434,6 +488,39 @@ def self_test() -> int:
         ("floor and ceiling can bracket a ratio together",
          report({"ratio": {"floor": 0.9, "ceiling": 1.1}}), report({"ratio": 2.0}), 1),
     ]
+
+    # Scenario-report baselines (the sweep gate's SCENARIO_gate.json).
+    def gate_report(name="s", jobs=800, mean=100.0, variants=("s/a", "s/b"),
+                    fingerprints=("0123456789abcdef", "fedcba9876543210"), histograms=None):
+        blocks = {v: {"metrics": {"makespan": {"mean": mean}}} for v in variants}
+        for block in blocks.values():
+            if histograms is not None:
+                block["obs"] = {"histograms": histograms}
+        return {"schema": SCENARIO_SCHEMA, "scenarios": [
+            {"name": name, "jobs": jobs, "tasks": len(fingerprints), "variants": blocks,
+             "fingerprints": list(fingerprints)}]}
+
+    cases += [
+        ("identical scenario reports pass", gate_report(), gate_report(), 0),
+        ("scenario metric drift inside the band passes",
+         gate_report(), gate_report(mean=110.0), 0),
+        ("scenario metric regression fails once per variant",
+         gate_report(), gate_report(mean=130.0), 2),
+        ("a moved fingerprint fails",
+         gate_report(), gate_report(fingerprints=("0123456789abcdef", "0000000000000000")), 1),
+        ("a different job count is refused before metric diffs",
+         gate_report(), gate_report(jobs=400, mean=130.0), 1),
+        ("a changed variant set fails",
+         gate_report(), gate_report(variants=("s/a",)), 1),
+        ("a renamed scenario fails",
+         gate_report(), gate_report(name="t"), 1),
+        ("a scenario histogram layout change fails",
+         gate_report(variants=("s/a",), histograms={"wait_s": hist}),
+         gate_report(variants=("s/a",), histograms={"wait_s": rebucketed}), 1),
+        ("a BENCH report is refused against a scenario baseline",
+         gate_report(), report({"makespan": 100.0}), 1),
+    ]
+
     failed = 0
     for name, baseline, emitted, expected_failures in cases:
         failures = compare(emitted, baseline, tolerance=0.15)
@@ -504,6 +591,22 @@ def self_test() -> int:
          scenario_report(comparison=[comparison_row(variant="lottery")]), False),
         ("empty comparison array is rejected",
          scenario_report(comparison=[]), False),
+    ]
+
+    # Variant "obs" blocks (merged registry snapshots) are checked like
+    # metrics-dump snapshots.
+    def with_obs(histogram):
+        metrics = {"makespan": {"count": 4.0, "mean": 21600.0, "stddev": 0.0,
+                                "ci95_half": 0.0, "min": 21600.0, "max": 21600.0}}
+        obs = {"counters": {"bus.requests": 12}, "gauges": {},
+               "histograms": {"wait_s": histogram}}
+        return scenario_report(variants={"fig10_baseline": {"metrics": metrics, "obs": obs}})
+
+    scenario_cases += [
+        ("variant obs snapshot validates",
+         with_obs({"bounds": [0.1, 0.2], "counts": [1, 2, 3], "count": 6}), True),
+        ("variant obs histogram disagreeing with its buckets is rejected",
+         with_obs({"bounds": [0.1, 0.2], "counts": [1, 2, 3], "count": 7}), False),
     ]
     for name, document, expected_ok in scenario_cases:
         errors = validate_scenario_report(document)
@@ -638,15 +741,16 @@ def main() -> int:
     failures = compare(emitted, baseline, args.tolerance, args.abs_epsilon)
 
     wall = emitted.get("wall_seconds")
-    threads = emitted.get("threads")
-    print(f"report: {report_path} (threads={threads}, wall={wall:.2f}s)"
+    print(f"report: {report_path} (wall={wall:.2f}s)"
           if isinstance(wall, float) else f"report: {report_path}")
     if failures:
-        print(f"FAIL: {len(failures)} metric(s) outside +-{args.tolerance:.0%}:")
+        print(f"FAIL: {len(failures)} check(s) failed (metric band +-{args.tolerance:.0%}):")
         for failure in failures:
             print("  -", failure)
         return 1
-    metric_count = sum(len(v.get("metrics", {})) for v in baseline.get("variants", {}).values())
+    blocks = [baseline] + baseline.get("scenarios", [])
+    metric_count = sum(len(v.get("metrics", {}))
+                       for block in blocks for v in block.get("variants", {}).values())
     print(f"PASS: {metric_count} metric means within +-{args.tolerance:.0%} of baseline")
     return 0
 

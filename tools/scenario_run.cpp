@@ -27,15 +27,19 @@
 //   --metrics FILE       dump the merged obs registry snapshots as an
 //                        aequus-metrics-dump-v1 document ("-" = stdout)
 //
+// Numeric values must parse in full: "--max-jobs 80x0" is a usage error.
+// Each scenario prints its gate results, then the report's comparison
+// rows (one per variant: backend, fairness distance, starvation,
+// throughput, share error, FCS delta latency).
+//
 // $AEQUUS_SCENARIO_SCALE (a fraction) multiplies jobs-scale and
 // time-scale on top of the flags, so CI can compress a full catalog run
 // without touching the invocation.
 //
 // Exit status: 0 all gates passed, 1 a gate failed, 2 usage/spec error.
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -69,21 +73,36 @@ int usage(const char* argv0) {
   return 2;
 }
 
+/// Parse a whole argument as a number. Trailing garbage ("80x0") or an
+/// empty value is a usage error, and so is a sign on a count: a prefix
+/// parse would silently run with a different cap, or none.
+template <typename T>
+bool parse_number(const std::string& flag, const char* text, T& out) {
+  const char* end = text + std::strlen(text);
+  const auto [stop, error] = std::from_chars(text, end, out);
+  if (error == std::errc{} && stop == end && stop != text) return true;
+  std::fprintf(stderr, "%s: invalid number '%s'\n", flag.c_str(), text);
+  return false;
+}
+
 bool parse_args(int argc, char** argv, CliArgs& args) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const auto value = [&]() -> const char* { return i + 1 < argc ? argv[++i] : ""; };
+    unsigned threads = 0;
     if (arg == "--list") args.list = true;
     else if (arg == "--catalog") args.catalog = value();
-    else if (arg == "--jobs-scale") args.compile.jobs_scale = std::strtod(value(), nullptr);
-    else if (arg == "--max-jobs") {
-      args.compile.max_jobs = std::strtoull(value(), nullptr, 10);
+    else if (arg == "--jobs-scale") {
+      if (!parse_number(arg, value(), args.compile.jobs_scale)) return false;
+    } else if (arg == "--max-jobs") {
+      if (!parse_number(arg, value(), args.compile.max_jobs)) return false;
     } else if (arg == "--time-scale") {
-      args.compile.time_scale = std::strtod(value(), nullptr);
+      if (!parse_number(arg, value(), args.compile.time_scale)) return false;
     } else if (arg == "--threads") {
-      args.run.threads = static_cast<int>(std::strtol(value(), nullptr, 10));
+      if (!parse_number(arg, value(), threads)) return false;
+      args.run.threads = static_cast<int>(threads);
     } else if (arg == "--reps") {
-      args.compile.replications = std::strtoull(value(), nullptr, 10);
+      if (!parse_number(arg, value(), args.compile.replications)) return false;
     } else if (arg == "--backend") {
       args.backend = value();
     } else if (arg == "--no-determinism") {
@@ -101,7 +120,7 @@ bool parse_args(int argc, char** argv, CliArgs& args) {
       args.specs.push_back(arg);
     }
   }
-  if (args.compile.jobs_scale <= 0.0 || args.compile.time_scale <= 0.0) {
+  if (!(args.compile.jobs_scale > 0.0) || !(args.compile.time_scale > 0.0)) {
     std::fprintf(stderr, "--jobs-scale and --time-scale must be > 0\n");
     return false;
   }
@@ -146,14 +165,21 @@ void force_backend(scenario::ScenarioSpec& spec, const std::string& backend) {
   }
 }
 
-/// A positional spec is a file path, or a bare catalog name resolved to
-/// <catalog>/<name>.json when no such file exists.
-std::string resolve_spec(const std::string& spec, const std::string& catalog) {
-  if (std::filesystem::exists(spec)) return spec;
-  const std::string dir = catalog.empty() ? scenario::catalog_dir() : catalog;
-  const std::filesystem::path named = std::filesystem::path(dir) / (spec + ".json");
-  if (std::filesystem::exists(named)) return named.string();
-  return spec;  // let load_spec_file produce the cannot-open error
+/// The report's head-to-head "comparison" rows (DESIGN.md §6j), one per
+/// variant, printed under the scenario's gate lines.
+void print_comparison(const json::Value& entry) {
+  const auto rows = entry.find("comparison");
+  if (!rows) return;
+  std::printf("   %-28s %-9s %17s %12s %18s %15s %16s\n", "variant", "backend",
+              "fairness_distance", "starved_jobs", "throughput(jobs/h)", "max_share_error",
+              "delta_latency_ms");
+  for (const json::Value& row : rows->get().as_array()) {
+    std::printf("   %-28s %-9s %17.5f %12.1f %18.1f %15.5f %16.3f\n",
+                row.at("variant").as_string().c_str(), row.at("backend").as_string().c_str(),
+                row.at("fairness_distance").as_number(), row.at("starved_jobs").as_number(),
+                row.at("throughput_jobs_per_h").as_number(),
+                row.at("max_share_error").as_number(), row.at("delta_latency_ms").as_number());
+  }
 }
 
 }  // namespace
@@ -165,7 +191,7 @@ int main(int argc, char** argv) {
   std::vector<std::string> paths;
   paths.reserve(args.specs.size());
   for (const std::string& spec : args.specs) {
-    paths.push_back(resolve_spec(spec, args.catalog));
+    paths.push_back(scenario::resolve_spec(spec, args.catalog));
   }
   if (paths.empty()) {
     paths = scenario::list_catalog(args.catalog);
@@ -210,6 +236,7 @@ int main(int argc, char** argv) {
         std::printf("   [%s] %-14s %s\n", gate.passed ? "PASS" : "FAIL", gate.gate.c_str(),
                     gate.detail.c_str());
       }
+      print_comparison(scenario::report_to_json(report));
       if (report.record.enabled) {
         std::printf("   recorded %llu envelope(s) -> %s (fingerprint %s)\n",
                     static_cast<unsigned long long>(report.record.envelopes),
