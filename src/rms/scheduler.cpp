@@ -1,10 +1,24 @@
 #include "rms/scheduler.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "util/logging.hpp"
 
 namespace aequus::rms {
+
+namespace {
+
+/// Dispatch order: highest priority first; ties dispatch FIFO by submit
+/// time, then by job id so externally assigned ids cannot jump jobs
+/// submitted earlier in the same instant.
+bool dispatches_before(const Job& a, const Job& b) noexcept {
+  if (a.priority != b.priority) return a.priority > b.priority;
+  if (a.submit_time != b.submit_time) return a.submit_time < b.submit_time;
+  return a.id < b.id;
+}
+
+}  // namespace
 
 SchedulerBase::SchedulerBase(sim::Simulator& simulator, Cluster cluster, SchedulerConfig config)
     : simulator_(simulator), cluster_(std::move(cluster)), config_(config) {
@@ -33,6 +47,9 @@ void SchedulerBase::ensure_reprioritize_scheduled() {
 }
 
 JobId SchedulerBase::submit(Job job) {
+  // A pass stops scanning once no core is free, which is only exact when
+  // every job needs at least one.
+  if (job.cores < 1) throw std::invalid_argument("SchedulerBase::submit: cores must be >= 1");
   if (job.id == 0) job.id = next_id_++;
   else next_id_ = std::max(next_id_, job.id + 1);
   job.state = JobState::kPending;
@@ -40,7 +57,10 @@ JobId SchedulerBase::submit(Job job) {
   job.priority =
       compute_priority(PriorityContext{job, simulator_.now(), current_fairshare(), site_label_});
   const JobId id = job.id;
-  pending_.push_back(std::move(job));
+  // upper_bound keeps equal keys (duplicate external ids) in arrival order.
+  const auto position =
+      std::upper_bound(pending_.begin(), pending_.end(), job, dispatches_before);
+  pending_.insert(position, std::move(job));
   ++stats_.submitted;
   obs::bump(submitted_counter_);
   schedule_pass();
@@ -82,6 +102,8 @@ void SchedulerBase::reschedule() {
   for (auto& job : pending_) {
     job.priority = compute_priority(PriorityContext{job, now, fairshare, site_label_});
   }
+  // Repricing is the only step that can reorder waiting jobs.
+  std::stable_sort(pending_.begin(), pending_.end(), dispatches_before);
   schedule_pass();
   if (span.valid() && obs_.tracer != nullptr) {
     obs_.tracer->end_span(simulator_.now(), span, obs_site_, "rm", {},
@@ -91,27 +113,23 @@ void SchedulerBase::reschedule() {
 
 void SchedulerBase::schedule_pass() {
   if (pending_.empty()) return;
-  // Highest priority first; ties dispatch FIFO by submit time, then by
-  // job id so externally assigned ids cannot jump jobs submitted earlier
-  // in the same instant.
-  std::stable_sort(pending_.begin(), pending_.end(), [](const Job& a, const Job& b) {
-    if (a.priority != b.priority) return a.priority > b.priority;
-    if (a.submit_time != b.submit_time) return a.submit_time < b.submit_time;
-    return a.id < b.id;
-  });
-  std::deque<Job> still_pending;
-  bool blocked = false;
-  while (!pending_.empty()) {
-    Job job = std::move(pending_.front());
-    pending_.pop_front();
-    if (blocked || !cluster_.can_allocate(job.cores)) {
-      if (!config_.backfill) blocked = true;
-      still_pending.push_back(std::move(job));
+  // pending_ is in dispatch order, so a pass only scans it: started jobs
+  // leave, skipped (backfill) jobs are compacted to the front in order.
+  // Every job needs a core, so nothing starts once none is free.
+  std::size_t kept = 0;
+  std::size_t next = 0;
+  for (; next < pending_.size() && cluster_.free_cores() > 0; ++next) {
+    Job& job = pending_[next];
+    if (cluster_.can_allocate(job.cores)) {
+      start_job(std::move(job));
       continue;
     }
-    start_job(std::move(job));
+    if (!config_.backfill) break;  // nothing starts past a blocked job
+    if (kept != next) pending_[kept] = std::move(job);
+    ++kept;
   }
-  pending_ = std::move(still_pending);
+  pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(kept),
+                 pending_.begin() + static_cast<std::ptrdiff_t>(next));
   if (pending_.empty() && reprioritize_scheduled_) {
     reprioritize_handle_.cancel();
     reprioritize_scheduled_ = false;

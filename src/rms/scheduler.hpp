@@ -10,6 +10,12 @@
 //     cluster can place them (first-fit; no backfill past a blocked job
 //     unless `backfill` is enabled).
 //
+// The pending queue is always in dispatch order (priority descending,
+// then submit time, then id; equal keys in arrival order): submit inserts
+// a job at its upper bound and only the repricing sweep re-sorts, stably,
+// so a pass is a scan that stops at the first blocked job (no backfill) or
+// once no core is free (backfill).
+//
 // Derived classes supply the priority policy (compute_priority) and get
 // completion callbacks — the two seams the paper uses for integration
 // ("the normal fairshare priority calculation code replaced with a call
@@ -84,6 +90,7 @@ class SchedulerBase {
   SchedulerBase& operator=(const SchedulerBase&) = delete;
 
   /// Enqueue a job; assigns an id when the job has none. Returns the id.
+  /// Throws std::invalid_argument when the job asks for fewer than one core.
   JobId submit(Job job);
 
   /// Register a completion callback (e.g. the Aequus jobcomp plugin).
@@ -138,7 +145,7 @@ class SchedulerBase {
   obs::Counter* started_counter_ = nullptr;
   obs::Counter* completed_counter_ = nullptr;
   obs::Histogram* wait_histogram_ = nullptr;
-  std::deque<Job> pending_;
+  std::deque<Job> pending_;  ///< dispatch order (see the header comment)
   std::size_t running_ = 0;
   JobId next_id_ = 1;
   SchedulerStats stats_;

@@ -164,8 +164,14 @@ CompiledScenario compile(const ScenarioSpec& spec, const CompileOptions& options
 
   for (const VariantSpec& variant : variants) {
     const double scale = variant.scale * options.time_scale;
-    workload::Scenario scenario =
-        scale != 1.0 ? workload::scaled_scenario(base, scale) : base;
+    workload::Scenario scenario;
+    if (scale != 1.0) {
+      scenario = workload::scaled_scenario(base, scale);
+    } else if (&variant == &variants.back()) {
+      scenario = std::move(base);  // the last variant needs no copy of the trace
+    } else {
+      scenario = base;
+    }
     const std::string variant_path =
         variant.name.empty() ? "$" : "$.variants[" + variant.name + "]";
 

@@ -5,6 +5,18 @@
 
 namespace aequus::sim {
 
+void Simulator::push_event(Event event) {
+  queue_.push_back(std::move(event));
+  std::push_heap(queue_.begin(), queue_.end(), Later{});
+}
+
+Simulator::Event Simulator::pop_event() {
+  std::pop_heap(queue_.begin(), queue_.end(), Later{});
+  Event event = std::move(queue_.back());
+  queue_.pop_back();
+  return event;
+}
+
 EventHandle Simulator::push(Time at, std::function<void()> action) {
   Event event;
   event.at = std::max(at, now_);
@@ -12,7 +24,7 @@ EventHandle Simulator::push(Time at, std::function<void()> action) {
   event.action = std::move(action);
   event.alive = std::make_shared<bool>(true);
   EventHandle handle(event.alive);
-  queue_.push(std::move(event));
+  push_event(std::move(event));
   return handle;
 }
 
@@ -45,13 +57,47 @@ void Simulator::push_periodic(Time at, Time period,
     (*action)();
     if (*alive) push_periodic(scheduled_at + period, period, action, alive);
   };
-  queue_.push(std::move(event));
+  push_event(std::move(event));
+}
+
+EventHandle Simulator::schedule_stream(const std::vector<Time>& times,
+                                       std::function<void(std::size_t)> action) {
+  auto stream = std::make_shared<Stream>();
+  stream->due.reserve(times.size());
+  for (std::size_t i = 0; i < times.size(); ++i) {
+    stream->due.emplace_back(std::max(times[i], now_), i);
+  }
+  // A schedule_at loop would give element i sequence first_sequence + i,
+  // so (clamped time, index) is its firing order.
+  std::sort(stream->due.begin(), stream->due.end());
+  stream->first_sequence = next_sequence_;
+  next_sequence_ += times.size();
+  stream->action = std::move(action);
+  stream->alive = std::make_shared<bool>(true);
+  EventHandle handle(stream->alive);
+  push_stream(std::move(stream));
+  return handle;
+}
+
+void Simulator::push_stream(std::shared_ptr<Stream> stream) {
+  if (stream->next == stream->due.size()) return;
+  const std::size_t index = stream->due[stream->next].second;
+  Event event;
+  event.at = stream->due[stream->next++].first;
+  event.sequence = stream->first_sequence + index;
+  event.alive = stream->alive;
+  event.action = [this, stream = std::move(stream), index] {
+    // The successor orders after this element, so it can enter the heap
+    // before the action runs.
+    push_stream(stream);
+    stream->action(index);
+  };
+  push_event(std::move(event));
 }
 
 bool Simulator::step() {
   while (!queue_.empty()) {
-    Event event = queue_.top();
-    queue_.pop();
+    Event event = pop_event();
     if (!*event.alive) continue;  // cancelled
     now_ = event.at;
     ++executed_;
@@ -63,9 +109,9 @@ bool Simulator::step() {
 
 void Simulator::run_until(Time limit) {
   while (!queue_.empty()) {
-    const Event& next = queue_.top();
+    const Event& next = queue_.front();
     if (!*next.alive) {
-      queue_.pop();
+      pop_event();
       continue;
     }
     if (next.at > limit) break;

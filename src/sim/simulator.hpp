@@ -8,13 +8,16 @@
 //
 // Ordering guarantee: events fire in (time, insertion sequence) order, so
 // two events at the same timestamp run in the order they were scheduled.
+// A stream (schedule_stream) reserves one sequence per element up front,
+// so it fires exactly as the equivalent loop of schedule_at calls would,
+// while only its next due element sits in the heap.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <queue>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace aequus::sim {
@@ -62,6 +65,15 @@ class Simulator {
   /// the simulation ends. Requires period > 0.
   EventHandle schedule_periodic(Time first_at, Time period, std::function<void()> action);
 
+  /// Schedule `action(i)` at `times[i]` for every i: the same firings, in
+  /// the same order, as `schedule_at(times[i], ...)` called for i = 0, 1,
+  /// ... now (past times clamp to now; times need not be sorted). The
+  /// stream takes the consecutive insertion sequences such a loop would,
+  /// but keeps only its next due element in the heap. Cancelling the
+  /// handle drops every element not yet fired.
+  EventHandle schedule_stream(const std::vector<Time>& times,
+                              std::function<void(std::size_t)> action);
+
   /// Execute the next pending event. Returns false when the queue is empty.
   bool step();
 
@@ -73,6 +85,7 @@ class Simulator {
   /// Run until the event queue drains completely.
   void run_all();
 
+  /// Events in the heap; a stream counts as its next due element only.
   [[nodiscard]] std::size_t pending() const noexcept { return queue_.size(); }
   [[nodiscard]] std::uint64_t executed() const noexcept { return executed_; }
 
@@ -89,15 +102,30 @@ class Simulator {
       return a.sequence > b.sequence;
     }
   };
+  /// One schedule_stream call: its elements in firing order as
+  /// (clamped time, index), element i owning sequence first_sequence + i.
+  struct Stream {
+    std::vector<std::pair<Time, std::size_t>> due;
+    std::size_t next = 0;  ///< first element of `due` not yet in the heap
+    std::uint64_t first_sequence = 0;
+    std::function<void(std::size_t)> action;
+    std::shared_ptr<bool> alive;
+  };
 
   EventHandle push(Time at, std::function<void()> action);
   void push_periodic(Time at, Time period, std::shared_ptr<std::function<void()>> action,
                      std::shared_ptr<bool> alive);
+  /// Put the stream's next due element, if any, in the heap.
+  void push_stream(std::shared_ptr<Stream> stream);
+  void push_event(Event event);
+  /// Remove and return the earliest event; the heap must be non-empty.
+  Event pop_event();
 
   Time now_ = 0.0;
   std::uint64_t next_sequence_ = 0;
   std::uint64_t executed_ = 0;
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
+  /// Binary min-heap on (at, sequence), a strict total order.
+  std::vector<Event> queue_;
 };
 
 }  // namespace aequus::sim

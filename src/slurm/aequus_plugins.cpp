@@ -17,7 +17,10 @@ FairshareSource aequus_fairshare_source(client::AequusClient& client) {
     // client cache (the client publishes it), but one consistent
     // generation for the whole sweep — with the client's cached snapshot
     // as the no-provider fallback. PriorityContext::priority_of owns the
-    // missing-leaf kNeutralFactor convention.
+    // missing-leaf kNeutralFactor convention. This runs for every job of
+    // every sweep, so the fallback is fetched only when no snapshot is
+    // pinned.
+    if (context.fairshare != nullptr) return context.priority_of(grid_user);
     return context.priority_of(grid_user, client.snapshot());
   };
 }

@@ -98,23 +98,25 @@ std::size_t Experiment::apply_offloads(std::size_t index, double now) {
 }
 
 void Experiment::schedule_submissions() {
-  for (const auto& record : scenario_.trace.records()) {
-    tasks_.push_back(simulator_.schedule_at(record.submit, [this, record] {
-      std::size_t index;
-      if (config_.dispatch == DispatchPolicy::kRoundRobin) {
-        index = round_robin_next_++ % sites_.size();
-      } else {
-        index = static_cast<std::size_t>(
-            rng_.uniform_int(0, static_cast<std::int64_t>(sites_.size()) - 1));
-      }
-      if (!config_.offloads.empty()) index = apply_offloads(index, record.submit);
-      rms::Job job;
-      job.system_user = system_account_for(record.user);
-      job.duration = record.duration;
-      job.cores = record.cores;
-      sites_[index]->submit(std::move(job));
-    }));
-  }
+  // One stream for the whole trace: the event heap holds the next due
+  // submission, not one closure per job.
+  tasks_.push_back(
+      simulator_.schedule_stream(scenario_.trace.arrival_times(), [this](std::size_t i) {
+        const workload::TraceRecord& record = scenario_.trace.records()[i];
+        std::size_t index;
+        if (config_.dispatch == DispatchPolicy::kRoundRobin) {
+          index = round_robin_next_++ % sites_.size();
+        } else {
+          index = static_cast<std::size_t>(
+              rng_.uniform_int(0, static_cast<std::int64_t>(sites_.size()) - 1));
+        }
+        if (!config_.offloads.empty()) index = apply_offloads(index, record.submit);
+        rms::Job job;
+        job.system_user = system_account_for(record.user);
+        job.duration = record.duration;
+        job.cores = record.cores;
+        sites_[index]->submit(std::move(job));
+      }));
 }
 
 void Experiment::schedule_sampling(ExperimentResult& result) {

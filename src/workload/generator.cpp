@@ -10,14 +10,24 @@ namespace aequus::workload {
 
 Trace generate_trace(const NationalGridModel& model, const GeneratorConfig& config) {
   util::Rng rng(config.seed);
+  const auto jobs_for = [&config](double fraction) {
+    return static_cast<std::size_t>(
+        std::llround(fraction * static_cast<double>(config.total_jobs)));
+  };
+  const std::size_t admin_count = jobs_for(config.admin_job_fraction);
+  const std::size_t zero_count = jobs_for(config.zero_duration_fraction);
+  // Size the trace once: grown by doubling, a paper-scale trace (~2.4 MB
+  // of records) ends in a 3.7 MB block after a chain of smaller ones.
+  std::size_t total = admin_count + zero_count;
+  for (const auto& user : model.users()) total += jobs_for(user.job_fraction);
   Trace trace;
+  trace.records().reserve(total);
   const double window = model.window_seconds();
 
   // Regular jobs, per user.
   std::map<std::string, double> user_usage;
   for (const auto& user : model.users()) {
-    const auto count = static_cast<std::size_t>(
-        std::llround(user.job_fraction * static_cast<double>(config.total_jobs)));
+    const std::size_t count = jobs_for(user.job_fraction);
     const stats::BoundedSampler arrivals(*user.arrival, 0.0, window);
     const stats::BoundedSampler durations(*user.duration, 1.0, user.duration_cap);
     for (std::size_t i = 0; i < count; ++i) {
@@ -47,8 +57,6 @@ Trace generate_trace(const NationalGridModel& model, const GeneratorConfig& conf
   }
 
   // Injected admin/monitoring jobs: frequent, short, uniformly spread.
-  const auto admin_count = static_cast<std::size_t>(
-      std::llround(config.admin_job_fraction * static_cast<double>(config.total_jobs)));
   for (std::size_t i = 0; i < admin_count; ++i) {
     TraceRecord record;
     record.user = i % 2 == 0 ? "sysadmin" : "monitor";
@@ -59,8 +67,6 @@ Trace generate_trace(const NationalGridModel& model, const GeneratorConfig& conf
   }
 
   // Injected zero-duration (cancelled/failed) jobs from regular users.
-  const auto zero_count = static_cast<std::size_t>(
-      std::llround(config.zero_duration_fraction * static_cast<double>(config.total_jobs)));
   const auto& users = model.users();
   for (std::size_t i = 0; i < zero_count; ++i) {
     TraceRecord record;

@@ -45,14 +45,16 @@ TEST(ClusterModel, UtilizationIncludesOngoingAllocation) {
 }
 
 /// Test scheduler: priority = negative submit order (FIFO) unless a map
-/// provides per-user priorities.
+/// provides per-user priorities. Counts the jobs it prices.
 class TestScheduler : public SchedulerBase {
  public:
   using SchedulerBase::SchedulerBase;
   std::map<std::string, double> priorities;
+  int priced = 0;
 
  protected:
   double compute_priority(const PriorityContext& context) override {
+    ++priced;
     const auto it = priorities.find(context.job.system_user);
     return it == priorities.end() ? 0.0 : it->second;
   }
@@ -230,6 +232,24 @@ TEST(SchedulerModel, WaitTimeAccounting) {
   simulator.run_all();
   // a waits 0, b waits 10.
   EXPECT_DOUBLE_EQ(scheduler.stats().total_wait_time, 10.0);
+}
+
+TEST(SchedulerModel, RejectsJobsWithoutCores) {
+  // A pass stops scanning once no core is free; a zero-core job would
+  // always fit, so the scheduler refuses it up front.
+  for (const int cores : {0, -1}) {
+    sim::Simulator simulator;
+    TestScheduler scheduler(simulator, Cluster("c", 1, 1));
+    scheduler.submit(make_job("hog", 10.0));  // id 1; the core is now busy
+    EXPECT_THROW(scheduler.submit(make_job("empty", 1.0, cores)), std::invalid_argument)
+        << cores << " cores";
+    EXPECT_EQ(scheduler.priced, 1) << "a rejected job must not be priced";
+    EXPECT_EQ(scheduler.stats().submitted, 1u);
+    EXPECT_EQ(scheduler.pending_count(), 0u);
+    EXPECT_EQ(scheduler.submit(make_job("next", 1.0)), 2u) << "no id was consumed";
+    simulator.run_all();
+    EXPECT_EQ(scheduler.stats().completed, 2u);
+  }
 }
 
 TEST(SchedulerModel, AssignsUniqueIds) {
