@@ -8,6 +8,9 @@
 // mean scheduler priority at job start per user (the factor the RM
 // actually sorted by).
 //
+// The experiment is scenarios/ablation_projection.json (one variant per
+// projection), run as one parallel sweep.
+//
 // Expected shape: all three keep utilization high and all complete the
 // workload; percental/bitwise start-priorities scale with the magnitude
 // of each user's imbalance, while dictionary ordering is rank-spaced.
@@ -22,42 +25,46 @@ int main(int argc, char** argv) {
   bench::print_banner("Ablation: projection algorithms end to end",
                       "Espling et al., IPPS'14, Table I / Section III-C");
 
-  const std::size_t jobs = bench::jobs_from_argv(argc, argv, 12000);
-  const workload::Scenario scenario = workload::baseline_scenario(2012, jobs);
+  const bench::BenchArgs args = bench::parse_bench_args(argc, argv, 0, 0);
+  scenario::CompiledScenario compiled = bench::compile_catalog("ablation_projection", args);
+  testbed::SweepSpec& spec = compiled.sweep;
+  const char* const users[] = {"U65", "U30", "U3", "Uoth"};
+  // Mean scheduler priority at job start per user, per task (-1 when the
+  // user started no job).
+  spec.on_teardown = [&users](testbed::Experiment&, testbed::SweepTaskResult& slot) {
+    for (const char* user : users) {
+      const auto it = slot.result.start_priorities.all().find(user);
+      double mean = -1.0;
+      if (it != slot.result.start_priorities.all().end() && !it->second.empty()) {
+        mean = 0.0;
+        for (double v : it->second.values()) mean += v;
+        mean /= static_cast<double>(it->second.size());
+      }
+      slot.metrics[std::string("start_priority_") + user] = mean;
+    }
+  };
+  const testbed::SweepResult sweep = bench::run_with_progress(spec);
 
   util::Table table({"Projection", "Completed", "Utilization", "U65 prio@start",
                      "U30 prio@start", "U3 prio@start", "Uoth prio@start"});
-
-  for (const auto kind :
-       {core::ProjectionKind::kPercental, core::ProjectionKind::kDictionaryOrdering,
-        core::ProjectionKind::kBitwiseVector}) {
-    std::printf("running %s...\n", core::to_string(kind).c_str());
-    testbed::ExperimentConfig config;
-    config.fairshare.projection.kind = kind;
-    testbed::Experiment experiment(scenario, config);
-    const testbed::ExperimentResult result = experiment.run();
-
-    std::vector<std::string> row = {core::to_string(kind),
-                                    util::format("%llu/%llu",
-                                                 (unsigned long long)result.jobs_completed,
-                                                 (unsigned long long)result.jobs_submitted),
-                                    util::format("%.1f%%", 100.0 * result.mean_utilization)};
-    for (const auto* user : {"U65", "U30", "U3", "Uoth"}) {
-      const auto it = result.start_priorities.all().find(user);
-      if (it == result.start_priorities.all().end() || it->second.empty()) {
-        row.push_back("n/a");
-        continue;
-      }
-      double mean = 0.0;
-      for (double v : it->second.values()) mean += v;
-      mean /= static_cast<double>(it->second.size());
-      row.push_back(util::format("%.3f", mean));
+  for (const testbed::SweepVariant& variant : spec.variants) {
+    const auto& aggregate = sweep.aggregates.at(variant.name);
+    std::vector<std::string> row = {
+        core::to_string(variant.config.fairshare.projection.kind),
+        util::format("%.0f/%.0f", aggregate.at("jobs_completed").mean,
+                     aggregate.at("jobs_submitted").mean),
+        util::format("%.1f%%", 100.0 * aggregate.at("mean_utilization").mean)};
+    for (const char* user : users) {
+      const auto& start_priority = aggregate.at(std::string("start_priority_") + user);
+      row.push_back(start_priority.min >= 0.0 ? util::format("%.3f", start_priority.mean)
+                                              : "n/a");
     }
     table.add_row(std::move(row));
   }
 
-  std::printf("\n%s\n", table.render().c_str());
+  std::printf("%s\n", table.render().c_str());
   std::printf("all projections complete the workload at full utilization; they\n"
-              "differ in how the [0,1] factor encodes the imbalance (Table I).\n");
+              "differ in how the [0,1] factor encodes the imbalance (Table I).\n\n");
+  bench::write_outputs(args, compiled, sweep);
   return 0;
 }

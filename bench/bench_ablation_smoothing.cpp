@@ -12,6 +12,9 @@
 // erratic. The monotone age component dampens those swings in proportion
 // to its weight, pulling waits towards FIFO regularity — measured here as
 // the coefficient of variation of queue waits.
+//
+// The experiment is scenarios/ablation_smoothing.json (one variant per age
+// weight), run as one parallel sweep.
 #include <cmath>
 #include <cstdio>
 
@@ -39,34 +42,35 @@ int main(int argc, char** argv) {
   bench::print_banner("Ablation: smoothing effect of non-fairshare factors",
                       "Espling et al., IPPS'14, Section IV-A (complementary tests)");
 
-  const std::size_t jobs = bench::jobs_from_argv(argc, argv, 12000);
-  const workload::Scenario scenario = workload::baseline_scenario(2012, jobs);
+  const bench::BenchArgs args = bench::parse_bench_args(argc, argv, 0, 0);
+  scenario::CompiledScenario compiled = bench::compile_catalog("ablation_smoothing", args);
+  testbed::SweepSpec& spec = compiled.sweep;
+  spec.on_teardown = [](testbed::Experiment&, testbed::SweepTaskResult& slot) {
+    slot.metrics["wait_cv"] = wait_cv(slot.result);
+  };
+  const testbed::SweepResult sweep = bench::run_with_progress(spec);
 
   util::Table table({"Weights (fairshare:age)", "Completed", "Utilization",
                      "Wait CV (lower = smoother service)"});
-  double first = -1.0;
-  double last = -1.0;
-  for (const double age_weight : {0.0, 0.5, 1.0, 2.0}) {
-    std::printf("running fairshare:1 age:%.1f...\n", age_weight);
-    testbed::ExperimentConfig config;
-    config.fairshare.slurm_weights.fairshare = 1.0;
-    config.fairshare.slurm_weights.age = age_weight;
-    config.fairshare.slurm_weights.max_age = 3600.0;  // saturate within the test
-    testbed::Experiment experiment(scenario, config);
-    const testbed::ExperimentResult result = experiment.run();
-    const double cv = wait_cv(result);
-    table.add_row({util::format("1.0 : %.1f", age_weight),
-                   util::format("%llu/%llu", (unsigned long long)result.jobs_completed,
-                                (unsigned long long)result.jobs_submitted),
-                   util::format("%.1f%%", 100.0 * result.mean_utilization),
-                   util::format("%.3f", cv)});
-    if (first < 0.0) first = cv;
-    last = cv;
+  for (const testbed::SweepVariant& variant : spec.variants) {
+    const auto& aggregate = sweep.aggregates.at(variant.name);
+    const slurm::MultifactorWeights& weights = variant.config.fairshare.slurm_weights;
+    table.add_row({util::format("%.1f : %.1f", weights.fairshare, weights.age),
+                   util::format("%.0f/%.0f", aggregate.at("jobs_completed").mean,
+                                aggregate.at("jobs_submitted").mean),
+                   util::format("%.1f%%", 100.0 * aggregate.at("mean_utilization").mean),
+                   util::format("%.3f", aggregate.at("wait_cv").mean)});
   }
+  const auto wait_cv_of = [&](const testbed::SweepVariant& variant) {
+    return sweep.aggregates.at(variant.name).at("wait_cv").mean;
+  };
+  const double first = wait_cv_of(spec.variants.front());
+  const double last = wait_cv_of(spec.variants.back());
 
-  std::printf("\n%s\n", table.render().c_str());
-  std::printf("service regularity improves with the age weight (CV %.3f -> %.3f): %s\n",
+  std::printf("%s\n", table.render().c_str());
+  std::printf("service regularity improves with the age weight (CV %.3f -> %.3f): %s\n\n",
               first, last,
               last < first ? "yes (smoothing effect, impact relative to weight)" : "NO");
+  bench::write_outputs(args, compiled, sweep);
   return 0;
 }

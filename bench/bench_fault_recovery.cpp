@@ -1,24 +1,24 @@
 // Fault recovery: time-to-reconvergence of the replicated usage views as
 // a function of inter-site message loss.
 //
-// Each run injects a hard ten-minute outage of site1 one third into the
-// run, on top of a swept base loss rate. At every sampling tick the bench
-// records the worst pairwise relative disagreement between the UMS usage
-// views of the fully participating sites; the reconvergence time is how
-// long after the outage ends that disagreement takes to drop (and stay)
-// below the tolerance. The paper's premise — decentralized exchange
-// tolerates degraded networks by serving stale-but-sane data — predicts
-// graceful growth with loss, not a cliff.
+// The experiment is scenarios/fault_recovery.json: a 3 x 8 grid, a hard
+// outage of site1 over [1/3, 13/36) of the run (ten minutes of the
+// six-hour window), and one variant per base loss rate. At every
+// sampling tick the bench records the worst testing::view_gaps entry:
+// the largest pairwise relative disagreement between the sites' UMS
+// usage views, the quantity check_reconvergence() bounds. The
+// reconvergence time is how long after the outage ends that disagreement
+// takes to drop (and stay) below the tolerance. The paper's premise —
+// decentralized exchange tolerates degraded networks by serving
+// stale-but-sane data — predicts graceful growth with loss, not a cliff.
 //
-// The loss rates form the variants of one parallel sweep (default 2
+// The loss rates form the variants of one parallel sweep (the spec's 2
 // replications per rate, each with a re-derived fault seed, so the
 // recovery times carry confidence intervals over loss realizations).
 // Emits BENCH_fault_recovery.json.
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <memory>
-#include <set>
 #include <vector>
 
 #include "common.hpp"
@@ -27,76 +27,38 @@
 
 using namespace aequus;
 
-namespace {
-
-// Worst pairwise relative per-leaf disagreement across sites' UMS views.
-double view_divergence(testbed::Experiment& experiment) {
-  auto& sites = experiment.sites();
-  double worst = 0.0;
-  for (std::size_t i = 0; i < sites.size(); ++i) {
-    for (std::size_t j = i + 1; j < sites.size(); ++j) {
-      const auto& leaves_a = sites[i]->aequus().ums().usage_tree().leaves();
-      const auto& leaves_b = sites[j]->aequus().ums().usage_tree().leaves();
-      const double scale = std::max({sites[i]->aequus().ums().usage_tree().total(),
-                                     sites[j]->aequus().ums().usage_tree().total(), 1e-9});
-      std::set<std::string> keys;
-      for (const auto& [path, amount] : leaves_a) (void)amount, keys.insert(path);
-      for (const auto& [path, amount] : leaves_b) (void)amount, keys.insert(path);
-      for (const auto& path : keys) {
-        const auto it_a = leaves_a.find(path);
-        const auto it_b = leaves_b.find(path);
-        const double va = it_a != leaves_a.end() ? it_a->second : 0.0;
-        const double vb = it_b != leaves_b.end() ? it_b->second : 0.0;
-        worst = std::max(worst, std::fabs(va - vb) / scale);
-      }
-    }
-  }
-  return worst;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   bench::print_banner("Fault recovery: reconvergence time vs message loss",
                       "fault-injection harness; extends §IV-A failure analysis");
 
-  const bench::BenchArgs args = bench::parse_bench_args(argc, argv, 2000, 2);
+  const bench::BenchArgs args = bench::parse_bench_args(argc, argv, 0, 0);
   const double tolerance = 0.02;
-  const std::vector<double> loss_rates = {0.0, 0.10, 0.25, 0.40};
-  const net::OutageWindow outage{"site1", 7200.0, 7800.0};
+  scenario::CompiledScenario compiled = bench::compile_catalog("fault_recovery", args);
+  testbed::SweepSpec& spec = compiled.sweep;
+  const workload::Scenario& scenario = spec.variants.front().scenario;
+  const net::OutageWindow outage = spec.variants.front().config.faults.outages.at(0);
 
-  std::printf("%zu jobs, 3 sites, 10-minute outage of site1 at t=%.0f s,\n", args.jobs,
-              outage.start);
+  std::printf("%zu jobs, %d sites, outage of %s over [%.0f, %.0f) s,\n",
+              scenario.trace.size(), scenario.cluster_count, outage.site.c_str(), outage.start,
+              outage.end);
   std::printf("reconvergence = max pairwise UMS view divergence < %.0f%%\n\n",
               100.0 * tolerance);
 
-  std::vector<testbed::SweepVariant> variants;
-  for (const double loss : loss_rates) {
-    workload::Scenario scenario = workload::baseline_scenario(2012, args.jobs);
-    scenario.cluster_count = 3;
-    scenario.hosts_per_cluster = 8;
-    bench::rescale_to_capacity(scenario);
-
-    testbed::SweepVariant variant;
-    variant.name = util::format("loss_%02.0f", 100.0 * loss);
-    variant.scenario = std::move(scenario);
-    variant.config.faults.loss_rate = loss;
-    variant.config.faults.seed = 1914;  // re-derived per replication
-    variant.config.faults.outages.push_back(outage);
-    variants.push_back(std::move(variant));
-  }
-
-  testbed::SweepSpec spec = bench::make_sweep(std::move(variants), args);
-
   // Per-task observers, addressed by task index so concurrent tasks never
   // share state: an invariant checker and the divergence tick series.
+  // The hook chains compile_catalog's (--trace) setup.
   std::vector<std::unique_ptr<testing::InvariantChecker>> checkers(spec.task_count());
   std::vector<util::Series> divergences(spec.task_count());
-  spec.on_setup = [&](testbed::Experiment& experiment, std::size_t task_index) {
+  spec.on_setup = [&, prior_setup = spec.on_setup](testbed::Experiment& experiment,
+                                                   std::size_t task_index) {
+    if (prior_setup) prior_setup(experiment, task_index);
     checkers[task_index] = std::make_unique<testing::InvariantChecker>(experiment);
-    divergences[task_index] = util::Series{};  // the serial reference sweep reruns tasks
     experiment.add_tick_hook([&experiment, &divergences, task_index](double now) {
-      divergences[task_index].add(now, view_divergence(experiment));
+      double worst = 0.0;
+      for (const testing::ViewGap& gap : testing::view_gaps(experiment)) {
+        worst = std::max(worst, gap.relative());
+      }
+      divergences[task_index].add(now, worst);
     });
   };
   spec.on_teardown = [&](testbed::Experiment& experiment, testbed::SweepTaskResult& slot) {
@@ -129,14 +91,15 @@ int main(int argc, char** argv) {
         reconverged_at >= 0.0 ? std::max(0.0, reconverged_at - outage.end) : -1.0;
   };
 
-  const bench::SweepRun sweep = bench::run_sweep_with_reference(spec, args);
+  const testbed::SweepResult sweep = bench::run_with_progress(spec);
 
-  std::printf("\n%8s %12s %14s %14s %10s %9s %6s\n", "loss", "peak div", "reconverged",
+  std::printf("%8s %12s %14s %14s %10s %9s %6s\n", "loss", "peak div", "reconverged",
               "recovery", "dropped", "retries", "inv");
-  for (std::size_t v = 0; v < loss_rates.size(); ++v) {
-    const auto& aggregate = sweep.result.aggregates.at(spec.variants[v].name);
+  for (const testbed::SweepVariant& variant : spec.variants) {
+    const auto& aggregate = sweep.aggregates.at(variant.name);
     std::printf("%7.0f%% %10.1f%%  %11.0f s  %7.0f+-%.0f s %10.0f %9.0f %6s\n",
-                100.0 * loss_rates[v], 100.0 * aggregate.at("peak_divergence").mean,
+                100.0 * variant.config.faults.loss_rate,
+                100.0 * aggregate.at("peak_divergence").mean,
                 aggregate.at("reconverged_at_s").mean, aggregate.at("recovery_s").mean,
                 aggregate.at("recovery_s").ci95_half, aggregate.at("bus_dropped").mean,
                 aggregate.at("refresh_retries").mean,
@@ -147,12 +110,12 @@ int main(int argc, char** argv) {
   std::printf("the cleanup polls, stretching recovery roughly with 1/(1-loss)^2\n");
   std::printf("(both poll legs must survive) rather than collapsing the system.\n\n");
 
-  bench::print_aggregates(sweep.result);
-  bench::write_bench_json("fault_recovery", args, spec, sweep.result, sweep.extra);
+  bench::print_aggregates(sweep);
+  bench::write_outputs(args, compiled, sweep);
 
   // Exit nonzero if any run failed its invariants or lost jobs — this
   // bench doubles as a long-form fault soak.
-  for (const auto& [variant, metrics] : sweep.result.aggregates) {
+  for (const auto& [variant, metrics] : sweep.aggregates) {
     (void)variant;
     if (metrics.at("invariants_ok").min < 1.0) return 1;
     if (metrics.at("jobs_completed").min <= 0.0) return 1;

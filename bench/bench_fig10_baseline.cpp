@@ -8,9 +8,7 @@
 // The experiment is scenarios/fig10_baseline.json, compiled at the
 // bench's size. It runs as a parallel sweep (the spec's 4 replications,
 // seeds derived from the root seed) so the convergence numbers carry
-// confidence intervals; unless --no-serial-reference is given, a
-// single-threaded reference sweep measures the parallel speedup. Emits a
-// BENCH JSON report.
+// confidence intervals. Emits a BENCH JSON report.
 #include <cmath>
 #include <cstdio>
 
@@ -22,7 +20,7 @@ int main(int argc, char** argv) {
   bench::print_banner("Figure 10: baseline six-cluster convergence",
                       "Espling et al., IPPS'14, Section IV-A test 1");
 
-  const bench::BenchArgs args = bench::parse_bench_args(argc, argv, bench::kTestbedJobs, 0);
+  const bench::BenchArgs args = bench::parse_bench_args(argc, argv, 0, 0);
   const scenario::CompiledScenario compiled = bench::compile_catalog("fig10_baseline", args);
   const testbed::SweepSpec& spec = compiled.sweep;
   const workload::Scenario& scenario = spec.variants.front().scenario;
@@ -30,10 +28,10 @@ int main(int argc, char** argv) {
               scenario.cluster_count, scenario.hosts_per_cluster, scenario.trace.size(),
               scenario.duration_seconds, 100.0 * scenario.target_load);
 
-  const bench::SweepRun sweep = bench::run_sweep_with_reference(spec, args);
+  const testbed::SweepResult sweep = bench::run_with_progress(spec);
 
   // The charts show replication 0; the tables aggregate all of them.
-  const testbed::ExperimentResult& result = sweep.result.tasks.front().result;
+  const testbed::ExperimentResult& result = sweep.tasks.front().result;
   std::printf("%s\n",
               result.usage_shares
                   .render_chart("Fig 10a analogue: cumulative usage share per user "
@@ -47,7 +45,7 @@ int main(int argc, char** argv) {
                                 100, 14, 0.3, 0.7)
                   .c_str());
 
-  const auto& aggregate = sweep.result.aggregates.at(spec.variants.front().name);
+  const auto& aggregate = sweep.aggregates.at(spec.variants.front().name);
   std::printf("across %zu replications (mean +- 95%% CI):\n",
               aggregate.at("mean_utilization").count);
   std::printf("  mean utilization: %.1f%% +- %.1f%% (paper: 93-97%%)\n",
@@ -65,7 +63,7 @@ int main(int argc, char** argv) {
   std::printf("  worst final-share error vs targets: %.4f (max over reps %.4f)\n\n",
               aggregate.at("max_share_error").mean, aggregate.at("max_share_error").max);
 
-  bench::print_aggregates(sweep.result);
+  bench::print_aggregates(sweep);
 
   std::printf("final usage shares vs targets (replication 0):\n");
   for (const auto& [user, share] : result.final_usage_share) {
@@ -74,6 +72,6 @@ int main(int argc, char** argv) {
                 std::abs(share - scenario.usage_shares.at(user)));
   }
 
-  bench::write_bench_json("fig10_baseline", args, spec, sweep.result, sweep.extra);
+  bench::write_outputs(args, compiled, sweep);
   return 0;
 }

@@ -21,9 +21,9 @@ int main(int argc, char** argv) {
   bench::print_banner("Figure 11: impact of update/processing delay",
                       "Espling et al., IPPS'14, Section IV-A test 2");
 
-  // A lighter default than 43,200 jobs: the x10 run simulates 60 hours of
-  // service chatter, so the spec (and this bench) use a 12k-job baseline.
-  const bench::BenchArgs args = bench::parse_bench_args(argc, argv, 12000, 0);
+  // The spec's default is a lighter 12k-job baseline than 43,200 jobs:
+  // the x10 run simulates 60 hours of service chatter.
+  const bench::BenchArgs args = bench::parse_bench_args(argc, argv, 0, 0);
   const scenario::CompiledScenario compiled = bench::compile_catalog("fig11_update_delay", args);
   const testbed::SweepSpec& spec = compiled.sweep;
   const testbed::SweepVariant& base = spec.variants.at(0);
@@ -31,15 +31,15 @@ int main(int argc, char** argv) {
   std::printf("baseline: %zu jobs over %.0f s; x10: %zu jobs over %.0f s, same delays\n",
               base.scenario.trace.size(), base.scenario.duration_seconds,
               scaled.scenario.trace.size(), scaled.scenario.duration_seconds);
-  bench::SweepRun sweep = bench::run_sweep_with_reference(spec, args);
+  const testbed::SweepResult sweep = bench::run_with_progress(spec);
 
   // Headline numbers come from the merged metrics snapshots: every
   // Experiment records "experiment.convergence_time_s" into its registry,
   // run_sweep merges the per-task snapshots in task-index order, and the
   // gauge mean equals the aggregate-table mean bit for bit (same sums,
   // same order). The aggregates still supply the CIs.
-  const obs::Snapshot& base_obs = sweep.result.obs.at(base.name);
-  const obs::Snapshot& scaled_obs = sweep.result.obs.at(scaled.name);
+  const obs::Snapshot& base_obs = sweep.obs.at(base.name);
+  const obs::Snapshot& scaled_obs = sweep.obs.at(scaled.name);
   const obs::GaugeValue base_convergence = base_obs.gauge("experiment.convergence_time_s");
   const obs::GaugeValue scaled_convergence = scaled_obs.gauge("experiment.convergence_time_s");
   const double base_fraction = base_convergence.mean() / base.scenario.duration_seconds;
@@ -49,10 +49,10 @@ int main(int argc, char** argv) {
               spec.convergence_epsilon,
               static_cast<unsigned long long>(base_convergence.samples));
   std::printf("  baseline: %8.0f +- %5.0f s = %5.1f%% of the run\n", base_convergence.mean(),
-              sweep.result.aggregates.at(base.name).at("convergence_time_s").ci95_half,
+              sweep.aggregates.at(base.name).at("convergence_time_s").ci95_half,
               100.0 * base_fraction);
   std::printf("  x10 run : %8.0f +- %5.0f s = %5.1f%% of the run\n", scaled_convergence.mean(),
-              sweep.result.aggregates.at(scaled.name).at("convergence_time_s").ci95_half,
+              sweep.aggregates.at(scaled.name).at("convergence_time_s").ci95_half,
               100.0 * scaled_fraction);
   if (base_convergence.mean() >= 0 && scaled_convergence.mean() >= 0 && base_fraction > 0) {
     std::printf("  relative convergence time shortened by %.1f%% (paper: 10-15%%)\n",
@@ -65,13 +65,11 @@ int main(int argc, char** argv) {
   std::printf("conclusion check: update delays are a modest, not dominant, error\n"
               "source for the time-compressed tests.\n\n");
 
-  bench::print_aggregates(sweep.result);
-  bench::report_observability(args, sweep.result);
+  bench::print_aggregates(sweep);
   // With --trace: the analyzer's per-hop decomposition of the update
   // pipeline (jobcomp -> client -> UMS/USS -> FCS -> reprioritize), the
   // direct measurement behind this experiment's delay budget. Chain means
   // land in the JSON extras.
-  sweep.extra.merge(bench::report_trace_analysis(args, spec, sweep.result));
-  bench::write_bench_json("fig11_update_delay", args, spec, sweep.result, sweep.extra);
+  bench::write_outputs(args, compiled, sweep);
   return 0;
 }

@@ -7,7 +7,8 @@
 // U30 jobs running below-balance priority to keep utilization up.
 //
 // The experiment is scenarios/fig12_nonoptimal_policy.json; this bench
-// runs its task 0 (sweep-derived seed) at the requested job count.
+// charts its task 0 (sweep-derived seed) at the requested job count.
+// Emits a BENCH JSON report.
 #include <cstdio>
 
 #include "common.hpp"
@@ -18,10 +19,10 @@ int main(int argc, char** argv) {
   bench::print_banner("Figure 12: non-optimal policy (70/20/8/2)",
                       "Espling et al., IPPS'14, Section IV-A test 3");
 
-  bench::BenchArgs args;
-  args.jobs = bench::jobs_from_argv(argc, argv, bench::kTestbedJobs);
-  const testbed::SweepSpec spec =
-      bench::compile_catalog("fig12_nonoptimal_policy", args).sweep;
+  const bench::BenchArgs args = bench::parse_bench_args(argc, argv, 0, 0);
+  const scenario::CompiledScenario compiled =
+      bench::compile_catalog("fig12_nonoptimal_policy", args);
+  const testbed::SweepSpec& spec = compiled.sweep;
   const workload::Scenario& scenario = spec.variants.front().scenario;
   std::printf("policy: U65 %.0f%%, U30 %.0f%%, U3 %.0f%%, Uoth %.0f%% — workload usage "
               "shares: %.1f/%.1f/%.1f/%.1f%%\n\n",
@@ -34,7 +35,7 @@ int main(int argc, char** argv) {
               100.0 * scenario.usage_shares.at("U3"),
               100.0 * scenario.usage_shares.at("Uoth"));
 
-  const testbed::SweepResult sweep = testbed::run_sweep(spec);
+  const testbed::SweepResult sweep = bench::run_with_progress(spec);
   const testbed::ExperimentResult& result = sweep.tasks.front().result;
 
   std::printf("%s\n",
@@ -88,7 +89,8 @@ int main(int argc, char** argv) {
     std::printf("  %-5s measured %.3f | workload %.3f | policy %.3f\n", user.c_str(), share,
                 scenario.usage_shares.at(user), scenario.policy_shares.at(user));
   }
-  std::printf("\nmean utilization stays high despite the policy mismatch: %.1f%%\n",
+  std::printf("\nmean utilization stays high despite the policy mismatch: %.1f%%\n\n",
               100.0 * result.mean_utilization);
+  bench::write_outputs(args, compiled, sweep);
   return 0;
 }

@@ -9,8 +9,9 @@
 //   - peak submission rate far above the sustained 120 jobs/min
 //     (paper: 472 jobs/min).
 //
-// The experiment is scenarios/fig13_bursty.json; this bench runs its
-// task 0 (sweep-derived seed) at the requested job count.
+// The experiment is scenarios/fig13_bursty.json; this bench charts its
+// task 0 (sweep-derived seed) at the requested job count. Emits a BENCH
+// JSON report.
 #include <algorithm>
 #include <cstdio>
 
@@ -23,9 +24,9 @@ int main(int argc, char** argv) {
   bench::print_banner("Figure 13: bursty usage test",
                       "Espling et al., IPPS'14, Section IV-A test 5");
 
-  bench::BenchArgs args;
-  args.jobs = bench::jobs_from_argv(argc, argv, bench::kTestbedJobs);
-  const testbed::SweepSpec spec = bench::compile_catalog("fig13_bursty", args).sweep;
+  const bench::BenchArgs args = bench::parse_bench_args(argc, argv, 0, 0);
+  const scenario::CompiledScenario compiled = bench::compile_catalog("fig13_bursty", args);
+  const testbed::SweepSpec& spec = compiled.sweep;
   const workload::Scenario& scenario = spec.variants.front().scenario;
 
   // Fig 13c analogue: job arrival model.
@@ -56,7 +57,7 @@ int main(int argc, char** argv) {
               100.0 * stats_by_user.at("U3").usage_fraction,
               100.0 * stats_by_user.at("Uoth").usage_fraction);
 
-  const testbed::SweepResult sweep = testbed::run_sweep(spec);
+  const testbed::SweepResult sweep = bench::run_with_progress(spec);
   const testbed::ExperimentResult& result = sweep.tasks.front().result;
 
   std::printf("%s\n",
@@ -103,7 +104,8 @@ int main(int argc, char** argv) {
 
   std::printf("\nsubmission rates: sustained %.0f /min, peak %.0f /min (paper: 120 / 472)\n",
               result.rates.sustained_per_minute, result.rates.peak_per_minute);
-  std::printf("mean utilization %.1f%% (paper window: 93-97%%)\n",
+  std::printf("mean utilization %.1f%% (paper window: 93-97%%)\n\n",
               100.0 * result.mean_utilization);
+  bench::write_outputs(args, compiled, sweep);
   return 0;
 }

@@ -32,8 +32,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
-#include <fstream>
 #include <limits>
 #include <string>
 #include <utility>
@@ -76,26 +74,13 @@ std::string size_label(std::size_t leaves) {
 void write_report(const std::string& bench_name, const bench::BenchArgs& args,
                   std::size_t deltas, std::size_t rounds, double wall_seconds,
                   json::Object variants) {
-  json::Object root;
-  root["bench"] = bench_name;
-  root["schema_version"] = 1;
-  root["jobs"] = deltas;
-  root["threads"] = 1;
-  root["replications"] = rounds;
-  root["root_seed"] = util::format("0x%llx", static_cast<unsigned long long>(args.root_seed));
-  root["wall_seconds"] = wall_seconds;
-  root["variants"] = json::Value(std::move(variants));
-
-  const std::string path = args.json_dir + "/BENCH_" + bench_name + ".json";
-  std::error_code ec;
-  std::filesystem::create_directories(args.json_dir, ec);
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "warning: cannot write %s\n", path.c_str());
+  json::Object body;
+  body["variants"] = json::Value(std::move(variants));
+  if (!bench::write_bench_file(args.json_dir,
+                               {bench_name, deltas, 1, rounds, args.root_seed, wall_seconds},
+                               std::move(body))) {
     std::exit(1);
   }
-  out << json::Value(std::move(root)).pretty() << "\n";
-  std::printf("wrote %s\n", path.c_str());
 }
 
 /// Arena-vs-map scale rows: one variant per requested leaf count, the
@@ -224,19 +209,21 @@ int run_scale_bench(const bench::BenchArgs& args, const std::vector<std::size_t>
 
 int main(int argc, char** argv) {
   // --leaves N[,N...] selects the scale mode; peeled off before the
-  // shared parser (which warns on flags it does not know).
+  // shared parser (which rejects flags it does not know). Each size
+  // parses in full, like every other bench value.
   std::vector<std::size_t> scale_sizes;
   std::vector<char*> filtered;
   filtered.push_back(argv[0]);
   for (int i = 1; i < argc; ++i) {
     if (std::string(argv[i]) == "--leaves" && i + 1 < argc) {
-      std::string list = argv[++i];
-      for (std::size_t pos = 0; pos < list.size();) {
-        const std::size_t comma = std::min(list.find(',', pos), list.size());
-        scale_sizes.push_back(
-            static_cast<std::size_t>(std::strtoull(list.substr(pos, comma - pos).c_str(),
-                                                   nullptr, 10)));
-        pos = comma + 1;
+      for (const std::string& item : util::split(argv[++i], ',')) {
+        std::size_t leaves = 0;
+        if (!util::parse_number("--leaves", item.c_str(), leaves)) {
+          std::fprintf(stderr, "usage: %s --leaves N[,N...] [deltas] [--reps N] ...\n",
+                       argv[0]);
+          return 2;
+        }
+        scale_sizes.push_back(leaves);
       }
     } else {
       filtered.push_back(argv[i]);

@@ -22,8 +22,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <limits>
 #include <memory>
 #include <string>
@@ -193,25 +191,12 @@ int main(int argc, char** argv) {
   variant["metrics"] = json::Value(std::move(metrics));
   variants["ingest"] = json::Value(std::move(variant));
 
-  json::Object root;
-  root["bench"] = std::string("ingest_throughput");
-  root["schema_version"] = 1;
-  root["jobs"] = args.jobs;
-  root["threads"] = 1;
-  root["replications"] = rounds;
-  root["root_seed"] = util::format("0x%llx", static_cast<unsigned long long>(args.root_seed));
-  root["wall_seconds"] = wall_total;
-  root["variants"] = json::Value(std::move(variants));
-
-  const std::string path = args.json_dir + "/BENCH_ingest_throughput.json";
-  std::error_code ec;
-  std::filesystem::create_directories(args.json_dir, ec);
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "warning: cannot write %s\n", path.c_str());
-    return 1;
-  }
-  out << json::Value(std::move(root)).pretty() << "\n";
-  std::printf("wrote %s\n", path.c_str());
-  return 0;
+  json::Object body;
+  body["variants"] = json::Value(std::move(variants));
+  return bench::write_bench_file(
+             args.json_dir,
+             {"ingest_throughput", args.jobs, 1, rounds, args.root_seed, wall_total},
+             std::move(body))
+             ? 0
+             : 1;
 }

@@ -8,9 +8,10 @@
 //   - the local-only site's data acts as noise for the others without a
 //     noticeable impact on global prioritization.
 //
-// The partial configuration and the all-participating control run as one
-// parallel sweep (default 2 replications each); the global-impact
-// comparison uses the aggregate convergence times. Emits
+// The experiment is scenarios/partial_participation.json: the partial
+// configuration and the all-participating control run as one parallel
+// sweep (the spec's 2 replications each); the global-impact comparison
+// uses the aggregate convergence times. Emits
 // BENCH_partial_participation.json.
 #include <cmath>
 #include <cstdio>
@@ -57,28 +58,19 @@ int main(int argc, char** argv) {
   bench::print_banner("Partial cluster participation",
                       "Espling et al., IPPS'14, Section IV-A test 4");
 
-  const bench::BenchArgs args = bench::parse_bench_args(argc, argv, bench::kTestbedJobs, 2);
-  const workload::Scenario scenario = workload::baseline_scenario(2012, args.jobs);
-
-  testbed::ExperimentConfig config;
-  config.record_per_site = true;
-  testbed::SiteSpec read_only;  // reads global data, does not contribute
-  read_only.participation.contributes = false;
-  config.site_overrides[4] = read_only;
-  testbed::SiteSpec local_only;  // contributes, considers only local data
-  local_only.participation.reads_global = false;
-  config.site_overrides[5] = local_only;
+  const bench::BenchArgs args = bench::parse_bench_args(argc, argv, 0, 0);
+  const scenario::CompiledScenario compiled =
+      bench::compile_catalog("partial_participation", args);
+  const testbed::SweepSpec& spec = compiled.sweep;
+  const workload::Scenario& scenario = spec.variants.front().scenario;
 
   std::printf("site4: reads global, does not contribute; site5: contributes, "
               "prioritizes on local data only; site0-3 fully participate\n\n");
-  const testbed::SweepSpec spec = bench::make_sweep(
-      {{"partial", scenario, config}, {"control", scenario, testbed::ExperimentConfig{}}},
-      args);
-  bench::SweepRun sweep = bench::run_sweep_with_reference(spec, args);
+  const testbed::SweepResult sweep = bench::run_with_progress(spec);
 
   // Per-site shape analysis on the first partial replication (the
   // aggregate table below covers all of them).
-  const testbed::ExperimentResult& result = sweep.result.tasks.front().result;
+  const testbed::ExperimentResult& result = sweep.tasks.front().result;
 
   // The local-only site prioritizes on its ~1/6 sample of the workload:
   // it converges to the same levels, but "at a slower pace and with more
@@ -134,8 +126,10 @@ int main(int argc, char** argv) {
 
   // Global impact: compare fully-participating sites' convergence against
   // the all-participating control, now with CIs over the replications.
-  const auto& with_noise = sweep.result.aggregates.at("partial").at("convergence_time_s");
-  const auto& without_noise = sweep.result.aggregates.at("control").at("convergence_time_s");
+  const auto& with_noise =
+      sweep.aggregates.at(spec.variants.at(0).name).at("convergence_time_s");
+  const auto& without_noise =
+      sweep.aggregates.at(spec.variants.at(1).name).at("convergence_time_s");
   std::printf("  global convergence with vs without the partial sites: "
               "%.0f +- %.0f s vs %.0f +- %.0f s\n",
               with_noise.mean, with_noise.ci95_half, without_noise.mean,
@@ -148,14 +142,12 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(result.jobs_completed),
               static_cast<unsigned long long>(result.jobs_submitted),
               static_cast<unsigned long long>(
-                  sweep.result.tasks.front().obs.counter("bus.dropped_participation")));
+                  sweep.tasks.front().obs.counter("bus.dropped_participation")));
 
-  bench::print_aggregates(sweep.result);
-  bench::report_observability(args, sweep.result);
+  bench::print_aggregates(sweep);
   // With --trace: the non-participating sites show up as broken chains
   // (participation drops leave the rpc span open); the hop tables contrast
   // the partial and control variants' update pipelines directly.
-  sweep.extra.merge(bench::report_trace_analysis(args, spec, sweep.result));
-  bench::write_bench_json("partial_participation", args, spec, sweep.result, sweep.extra);
+  bench::write_outputs(args, compiled, sweep);
   return 0;
 }

@@ -18,8 +18,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
-#include <fstream>
 #include <limits>
 #include <string>
 
@@ -119,26 +117,12 @@ int main(int argc, char** argv) {
   variant["metrics"] = json::Value(std::move(metrics));
   json::Object variants;
   variants["replay"] = json::Value(std::move(variant));
-
-  json::Object root;
-  root["bench"] = std::string("replay_throughput");
-  root["schema_version"] = 1;
-  root["jobs"] = args.jobs;
-  root["threads"] = 1;
-  root["replications"] = reps;
-  root["root_seed"] = util::format("0x%llx", static_cast<unsigned long long>(args.root_seed));
-  root["wall_seconds"] = sim_seconds + timed_seconds + afap_seconds;
-  root["variants"] = json::Value(std::move(variants));
-
-  const std::string path = args.json_dir + "/BENCH_replay_throughput.json";
-  std::error_code ec;
-  std::filesystem::create_directories(args.json_dir, ec);
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "warning: cannot write %s\n", path.c_str());
-    return 1;
-  }
-  out << json::Value(std::move(root)).pretty() << "\n";
-  std::printf("wrote %s\n", path.c_str());
-  return 0;
+  json::Object body;
+  body["variants"] = json::Value(std::move(variants));
+  return bench::write_bench_file(args.json_dir,
+                                 {"replay_throughput", args.jobs, 1, reps, args.root_seed,
+                                  sim_seconds + timed_seconds + afap_seconds},
+                                 std::move(body))
+             ? 0
+             : 1;
 }

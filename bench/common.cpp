@@ -1,28 +1,59 @@
 #include "common.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <string_view>
 
 #include "json/json.hpp"
 #include "obs/span_analysis.hpp"
 #include "obs/trace.hpp"
 #include "scenario/catalog.hpp"
-#include "testing/determinism.hpp"
 #include "util/rng.hpp"
 
 namespace aequus::bench {
 
-std::size_t jobs_from_argv(int argc, char** argv, std::size_t fallback) {
-  if (argc > 1) {
-    const long parsed = std::strtol(argv[1], nullptr, 10);
-    if (parsed > 0) return static_cast<std::size_t>(parsed);
+namespace {
+
+[[noreturn]] void usage_exit(const char* argv0, const char* options) {
+  std::fprintf(stderr, "usage: %s [jobs]%s\n", argv0, options);
+  std::exit(2);
+}
+
+constexpr const char* kBenchOptions =
+    " [--threads N] [--reps N] [--seed S] [--json-dir DIR]\n"
+    "       [--trace FILE] [--trace-cap N]";
+
+/// A seed takes C's integer prefixes, as strtoull(text, nullptr, 0) does
+/// ("0x7de" hex, "010" octal), so the root_seed a BENCH file records
+/// reproduces the run; the rest of the value must parse in full.
+bool parse_seed(const char* text, std::uint64_t& out) {
+  std::string_view digits = text;
+  int base = 10;
+  if (digits.size() > 1 && digits[0] == '0') {
+    const bool hex = digits[1] == 'x' || digits[1] == 'X';
+    digits.remove_prefix(hex ? 2 : 1);
+    base = hex ? 16 : 8;
   }
-  return fallback;
+  const char* end = digits.data() + digits.size();
+  const auto [stop, error] = std::from_chars(digits.data(), end, out, base);
+  if (error == std::errc{} && stop == end && !digits.empty()) return true;
+  std::fprintf(stderr, "--seed: invalid number '%s'\n", text);
+  return false;
+}
+
+}  // namespace
+
+std::size_t jobs_from_argv(int argc, char** argv, std::size_t fallback) {
+  std::size_t jobs = 0;
+  if (argc > 2 || (argc == 2 && !util::parse_number("jobs", argv[1], jobs))) {
+    usage_exit(argv[0], "");
+  }
+  return jobs > 0 ? jobs : fallback;
 }
 
 BenchArgs parse_bench_args(int argc, char** argv, std::size_t fallback_jobs,
@@ -31,163 +62,111 @@ BenchArgs parse_bench_args(int argc, char** argv, std::size_t fallback_jobs,
   args.jobs = fallback_jobs;
   args.replications = fallback_replications;
   for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    const auto value = [&]() -> const char* { return i + 1 < argc ? argv[++i] : "0"; };
-    if (std::strcmp(arg, "--threads") == 0) {
-      args.threads = static_cast<int>(std::strtol(value(), nullptr, 10));
-    } else if (std::strcmp(arg, "--reps") == 0) {
-      const long parsed = std::strtol(value(), nullptr, 10);
-      if (parsed > 0) args.replications = static_cast<std::size_t>(parsed);
-    } else if (std::strcmp(arg, "--seed") == 0) {
-      args.root_seed = std::strtoull(value(), nullptr, 0);
+    const std::string arg = argv[i];
+    const auto value = [&]() -> const char* {
+      if (i + 1 >= argc) {
+        std::fprintf(stderr, "%s: missing value\n", arg.c_str());
+        usage_exit(argv[0], kBenchOptions);
+      }
+      return argv[++i];
+    };
+    const auto number = [&](const std::string& flag, const char* text, auto& out) {
+      if (!util::parse_number(flag, text, out)) usage_exit(argv[0], kBenchOptions);
+    };
+    std::size_t count = 0;
+    unsigned threads = 0;
+    if (arg == "--threads") {
+      number(arg, value(), threads);
+      args.threads = static_cast<int>(threads);
+    } else if (arg == "--reps") {
+      number(arg, value(), count);
+      if (count > 0) args.replications = count;
+    } else if (arg == "--seed") {
+      if (!parse_seed(value(), args.root_seed)) usage_exit(argv[0], kBenchOptions);
       args.root_seed_given = true;
-    } else if (std::strcmp(arg, "--json-dir") == 0) {
+    } else if (arg == "--json-dir") {
       args.json_dir = value();
-    } else if (std::strcmp(arg, "--no-serial-reference") == 0) {
-      args.serial_reference = false;
-    } else if (std::strcmp(arg, "--trace") == 0) {
+    } else if (arg == "--trace") {
       args.trace_path = value();
-    } else if (std::strcmp(arg, "--trace-cap") == 0) {
-      args.trace_cap = static_cast<std::size_t>(std::strtoull(value(), nullptr, 10));
-    } else if (std::strcmp(arg, "--metrics") == 0) {
-      args.metrics_path = value();
-    } else if (arg[0] != '-') {
-      const long parsed = std::strtol(arg, nullptr, 10);
-      if (parsed > 0) args.jobs = static_cast<std::size_t>(parsed);
+    } else if (arg == "--trace-cap") {
+      number(arg, value(), args.trace_cap);
+    } else if (arg.empty() || arg[0] != '-') {
+      number("jobs", arg.c_str(), count);
+      if (count > 0) args.jobs = count;
     } else {
-      std::fprintf(stderr, "warning: unknown option '%s' ignored\n", arg);
+      std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
+      usage_exit(argv[0], kBenchOptions);
     }
   }
   return args;
 }
 
-namespace {
-
-/// --trace: trace each variant's first replication (tasks are
-/// variant-major, so that is task_index % replications == 0); tracing
-/// every replication would multiply the buffers for no analytical gain.
-/// The ring cap bounds memory on long runs — evictions show up as
-/// trace.dropped_events and as unmatched ends in the analysis.
-void attach_tracing(testbed::SweepSpec& spec, const BenchArgs& args) {
-  if (args.trace_path.empty()) return;
-  const std::size_t replications = spec.replications > 0 ? spec.replications : 1;
-  const std::size_t cap = args.trace_cap;
-  spec.on_setup = [replications, cap](testbed::Experiment& experiment, std::size_t task_index) {
-    if (task_index % replications == 0) {
-      experiment.tracer().set_capacity(cap);
-      experiment.tracer().enable();
-    }
-  };
-}
-
-}  // namespace
-
-testbed::SweepSpec make_sweep(std::vector<testbed::SweepVariant> variants,
-                              const BenchArgs& args) {
-  testbed::SweepSpec spec;
-  spec.variants = std::move(variants);
-  spec.replications = args.replications > 0 ? args.replications : 1;
-  spec.root_seed = args.root_seed;
-  spec.threads = args.threads;
-  testing::attach_fingerprints(spec);
-  attach_tracing(spec, args);
-  return spec;
-}
-
 scenario::CompiledScenario compile_catalog(const std::string& name, const BenchArgs& args) {
+  scenario::ScenarioSpec catalog_spec =
+      scenario::load_spec_file(scenario::catalog_dir() + "/" + name + ".json");
+  if (args.jobs > 0) catalog_spec.workload.jobs = args.jobs;
   scenario::CompileOptions options;
-  options.max_jobs = args.jobs;
   options.replications = args.replications;
   options.threads = args.threads;
-  scenario::CompiledScenario compiled = scenario::compile(
-      scenario::load_spec_file(scenario::catalog_dir() + "/" + name + ".json"), options);
-  if (args.root_seed_given) compiled.sweep.root_seed = args.root_seed;
-  compiled.sweep.keep_results = true;  // compile() attached the fingerprinter
-  attach_tracing(compiled.sweep, args);
+  scenario::CompiledScenario compiled = scenario::compile(catalog_spec, options);
+  testbed::SweepSpec& spec = compiled.sweep;
+  if (args.root_seed_given) spec.root_seed = args.root_seed;
+  spec.keep_results = true;  // compile() attached the fingerprinter
+  // --trace: trace each variant's first replication (tasks are
+  // variant-major, so that is task_index % replications == 0); tracing
+  // every replication would multiply the buffers for no analytical gain.
+  // The ring cap bounds memory on long runs — evictions show up as
+  // trace.dropped_events and as unmatched ends in the analysis.
+  if (!args.trace_path.empty()) {
+    const std::size_t replications = spec.replications > 0 ? spec.replications : 1;
+    const std::size_t cap = args.trace_cap;
+    spec.on_setup = [replications, cap](testbed::Experiment& experiment,
+                                        std::size_t task_index) {
+      if (task_index % replications == 0) {
+        experiment.tracer().set_capacity(cap);
+        experiment.tracer().enable();
+      }
+    };
+  }
   return compiled;
 }
 
-SweepRun run_sweep_with_reference(const testbed::SweepSpec& spec, const BenchArgs& args) {
-  SweepRun run;
-  const int threads = testbed::resolve_thread_count(spec.threads);
+testbed::SweepResult run_with_progress(const testbed::SweepSpec& spec) {
   std::printf("sweep: %zu variant(s) x %zu replication(s) on %d thread(s)...\n",
-              spec.variants.size(), spec.replications, threads);
-  run.result = testbed::run_sweep(spec);
-  std::printf("sweep done in %.2f s wall\n", run.result.wall_seconds);
-  if (args.serial_reference && run.result.threads_used > 1) {
-    testbed::SweepSpec serial = spec;
-    serial.threads = 1;
-    serial.keep_results = false;  // the reference only contributes wall time
-    std::printf("serial reference sweep (--threads 1)...\n");
-    const testbed::SweepResult reference = testbed::run_sweep(serial);
-    std::printf("serial reference done in %.2f s wall\n", reference.wall_seconds);
-    run.extra["serial_wall_seconds"] = reference.wall_seconds;
-    if (run.result.wall_seconds > 0.0) {
-      run.extra["speedup_vs_serial"] = reference.wall_seconds / run.result.wall_seconds;
-      std::printf("speedup vs serial at %d threads: %.2fx\n\n", run.result.threads_used,
-                  run.extra["speedup_vs_serial"]);
-    }
-  }
-  return run;
+              spec.variants.size(), spec.replications,
+              testbed::resolve_thread_count(spec.threads));
+  testbed::SweepResult result = testbed::run_sweep(spec);
+  std::printf("sweep done in %.2f s wall\n\n", result.wall_seconds);
+  return result;
 }
 
-void report_observability(const BenchArgs& args, const testbed::SweepResult& result) {
-  if (!args.trace_path.empty()) {
-    const auto traced = std::find_if(result.tasks.begin(), result.tasks.end(),
-                                     [](const auto& task) { return !task.result.trace.empty(); });
-    if (traced == result.tasks.end()) {
-      std::fprintf(stderr, "warning: no trace events collected (keep_results off?)\n");
-    } else {
-      std::ofstream out(args.trace_path);
-      if (!out) {
-        std::fprintf(stderr, "warning: cannot write %s\n", args.trace_path.c_str());
-      } else {
-        obs::write_jsonl(out, traced->result.trace);
-        std::printf("wrote %zu trace events to %s\n", traced->result.trace.size(),
-                    args.trace_path.c_str());
-      }
-    }
+namespace {
+
+/// --trace: the first traced task's events, as JSON-lines.
+void write_trace(const BenchArgs& args, const testbed::SweepResult& result) {
+  if (args.trace_path.empty()) return;
+  const auto traced = std::find_if(result.tasks.begin(), result.tasks.end(),
+                                   [](const auto& task) { return !task.result.trace.empty(); });
+  if (traced == result.tasks.end()) {
+    std::fprintf(stderr,
+                 "warning: no trace events collected (does a bench on_setup skip "
+                 "compile_catalog's?)\n");
+    return;
   }
-  if (!args.metrics_path.empty()) {
-    json::Object snapshots;
-    for (const auto& [variant, snapshot] : result.obs) {
-      snapshots[variant] = snapshot.to_json();
-    }
-    json::Object dump;
-    dump["schema"] = "aequus-metrics-dump-v1";
-    dump["source"] = "bench";
-    dump["snapshots"] = json::Value(std::move(snapshots));
-    const json::Value document = json::Value(std::move(dump));
-    if (args.metrics_path == "-") {
-      std::printf("%s\n", document.pretty().c_str());
-    } else {
-      std::ofstream out(args.metrics_path);
-      if (!out) {
-        std::fprintf(stderr, "warning: cannot write %s\n", args.metrics_path.c_str());
-      } else {
-        out << document.pretty() << "\n";
-        // Keep the human-readable table when the JSON goes to a file.
-        for (const auto& [variant, snapshot] : result.obs) {
-          std::printf("metrics %s:\n", variant.c_str());
-          for (const auto& [key, value] : snapshot.counters) {
-            std::printf("  %-40s %llu\n", key.c_str(), static_cast<unsigned long long>(value));
-          }
-          for (const auto& [key, gauge] : snapshot.gauges) {
-            std::printf("  %-40s last=%.6g mean=%.6g (n=%llu)\n", key.c_str(), gauge.last,
-                        gauge.mean(), static_cast<unsigned long long>(gauge.samples));
-          }
-          for (const auto& [key, histogram] : snapshot.histograms) {
-            std::printf("  %-40s n=%llu mean=%.6g [%.6g, %.6g]\n", key.c_str(),
-                        static_cast<unsigned long long>(histogram.count), histogram.mean(),
-                        histogram.min, histogram.max);
-          }
-        }
-        std::printf("metrics dump written to %s\n\n", args.metrics_path.c_str());
-      }
-    }
+  std::error_code ec;  // best effort; open reports failure
+  std::filesystem::create_directories(std::filesystem::path(args.trace_path).parent_path(), ec);
+  std::ofstream out(args.trace_path);
+  if (!out) {
+    std::fprintf(stderr, "warning: cannot write %s\n", args.trace_path.c_str());
+    return;
   }
+  obs::write_jsonl(out, traced->result.trace);
+  std::printf("wrote %zu trace events to %s\n", traced->result.trace.size(),
+              args.trace_path.c_str());
 }
 
+/// --trace: each variant's per-hop delay decomposition (obs::analyze_spans
+/// on its traced replication), printed; returns the BENCH extras.
 std::map<std::string, double> report_trace_analysis(const BenchArgs& args,
                                                     const testbed::SweepSpec& spec,
                                                     const testbed::SweepResult& result) {
@@ -249,6 +228,8 @@ std::map<std::string, double> report_trace_analysis(const BenchArgs& args,
   return extra;
 }
 
+}  // namespace
+
 void print_aggregates(const testbed::SweepResult& result) {
   for (const auto& [variant, metrics] : result.aggregates) {
     std::printf("variant %s (n=%zu):\n", variant.c_str(),
@@ -261,23 +242,40 @@ void print_aggregates(const testbed::SweepResult& result) {
   std::printf("\n");
 }
 
-void write_bench_json(const std::string& bench_name, const BenchArgs& args,
-                      const testbed::SweepSpec& spec, const testbed::SweepResult& result,
-                      const std::map<std::string, double>& extra) {
-  json::Object root;
-  root["bench"] = bench_name;
-  root["schema_version"] = 1;
-  root["jobs"] = args.jobs;
-  root["threads"] = result.threads_used;
-  root["replications"] = spec.replications;
-  root["root_seed"] = util::format("0x%llx", static_cast<unsigned long long>(spec.root_seed));
-  root["wall_seconds"] = result.wall_seconds;
+bool write_bench_file(const std::string& json_dir, const BenchHeader& header,
+                      json::Object body) {
+  body["bench"] = header.bench;
+  body["schema_version"] = 1;
+  body["jobs"] = header.jobs;
+  body["threads"] = header.threads;
+  body["replications"] = header.replications;
+  body["root_seed"] =
+      util::format("0x%llx", static_cast<unsigned long long>(header.root_seed));
+  body["wall_seconds"] = header.wall_seconds;
 
+  const std::string path = json_dir + "/BENCH_" + header.bench + ".json";
+  std::error_code ec;
+  std::filesystem::create_directories(json_dir, ec);  // best effort; open reports failure
+  std::ofstream out(path);
+  if (!out) {
+    std::fprintf(stderr, "warning: cannot write %s\n", path.c_str());
+    return false;
+  }
+  out << json::Value(std::move(body)).pretty() << "\n";
+  std::printf("wrote %s\n", path.c_str());
+  return true;
+}
+
+void write_outputs(const BenchArgs& args, const scenario::CompiledScenario& compiled,
+                   const testbed::SweepResult& result) {
+  const testbed::SweepSpec& spec = compiled.sweep;
+  write_trace(args, result);
+  json::Object body;
   json::Object extras;
-  for (const auto& [key, value] : extra) extras[key] = value;
-  root["extra"] = json::Value(std::move(extras));
+  for (const auto& [key, value] : report_trace_analysis(args, spec, result)) extras[key] = value;
+  body["extra"] = json::Value(std::move(extras));
 
-  root["variants"] = testbed::variants_to_json(result);
+  body["variants"] = testbed::variants_to_json(result);
 
   json::Array tasks;
   for (const auto& task : result.tasks) {
@@ -292,18 +290,11 @@ void write_bench_json(const std::string& bench_name, const BenchArgs& args,
     }
     tasks.push_back(json::Value(std::move(t)));
   }
-  root["tasks"] = json::Value(std::move(tasks));
-
-  const std::string path = args.json_dir + "/BENCH_" + bench_name + ".json";
-  std::error_code ec;
-  std::filesystem::create_directories(args.json_dir, ec);  // best effort; open reports failure
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "warning: cannot write %s\n", path.c_str());
-    return;
-  }
-  out << json::Value(std::move(root)).pretty() << "\n";
-  std::printf("wrote %s\n", path.c_str());
+  body["tasks"] = json::Value(std::move(tasks));
+  (void)write_bench_file(args.json_dir,
+                         {compiled.name, compiled.jobs, result.threads_used, spec.replications,
+                          spec.root_seed, result.wall_seconds},
+                         std::move(body));
 }
 
 workload::Trace raw_year_trace(std::size_t jobs, std::uint64_t seed) {
@@ -349,13 +340,6 @@ std::vector<std::vector<double>> split_u65_phases(const std::vector<double>& arr
 
 long whole_seconds(double seconds) {
   return std::lround(seconds);
-}
-
-void rescale_to_capacity(workload::Scenario& scenario) {
-  const double target = scenario.target_load * scenario.capacity_core_seconds();
-  const double current = scenario.trace.total_usage();
-  if (current <= 0.0) return;
-  for (auto& record : scenario.trace.records()) record.duration *= target / current;
 }
 
 void print_banner(const std::string& title, const std::string& paper_reference) {

@@ -5,7 +5,9 @@
 // cleanup filters, partition by user, and (for the modeling benches) fit
 // candidate distributions. Scaled-down sizes are chosen so every bench
 // finishes in minutes on a laptop; pass a positive integer argv[1] to a
-// bench to override the job count.
+// bench to override the job count. The testbed benches compile their
+// experiment from the scenario catalog (compile_catalog) and keep only
+// their analysis and printing.
 #pragma once
 
 #include <cstddef>
@@ -13,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "json/json.hpp"
 #include "scenario/compile.hpp"
 #include "testbed/experiment.hpp"
 #include "testbed/sweep.hpp"
@@ -23,20 +26,25 @@
 
 namespace aequus::bench {
 
-/// Default job counts, tuned for bench runtime (the paper's tests use
-/// 43,200-job traces; the statistical results are insensitive to this).
+/// Default sizes of the modeling benches, tuned for bench runtime (the
+/// statistical results are insensitive to them). The testbed benches
+/// default to their catalog spec's workload.jobs.
 inline constexpr std::size_t kYearTraceJobs = 40000;
-inline constexpr std::size_t kTestbedJobs = 43200;
 inline constexpr std::size_t kFitSubsample = 3000;
 
-/// Parse an optional job-count override from argv.
+/// Parse the optional job-count argv[1] (0 keeps `fallback`). Anything
+/// else — a malformed count ("80x0"), a negative one, a second argument —
+/// prints the usage line and exits 2.
 [[nodiscard]] std::size_t jobs_from_argv(int argc, char** argv, std::size_t fallback);
 
-/// Command-line options shared by the sweep-capable benches:
+/// Command-line options shared by the testbed and ratio benches:
 ///   bench [jobs] [--threads N] [--reps N] [--seed S] [--json-dir DIR]
-///         [--no-serial-reference] [--trace FILE] [--trace-cap N] [--metrics FILE]
+///         [--trace FILE] [--trace-cap N]
 /// `--threads 0` (the default) defers to AEQUUS_THREADS, then to the
-/// hardware. Unknown flags warn and are skipped.
+/// hardware; a job count or `--reps` of 0 keeps the bench default.
+/// Values parse in full (util::parse_number; --seed also takes the
+/// 0x... form BENCH files record): a malformed value, a flag without its
+/// value, or an unknown flag prints the usage line and exits 2.
 struct BenchArgs {
   std::size_t jobs = 0;
   int threads = 0;               ///< 0 = auto (AEQUUS_THREADS / hardware)
@@ -44,77 +52,63 @@ struct BenchArgs {
   std::uint64_t root_seed = 2014;
   bool root_seed_given = false;  ///< --seed was passed (overrides a catalog spec's seed)
   std::string json_dir = ".";
-  /// Re-run the sweep single-threaded to report speedup_vs_serial in the
-  /// JSON (skipped automatically when the sweep resolves to one thread).
-  bool serial_reference = true;
   /// --trace FILE: enable the tracer on each variant's first replication
   /// and write the first task's event stream to FILE as JSON-lines.
   std::string trace_path;
   /// --trace-cap N: tracer ring-buffer capacity for traced tasks (events;
   /// 0 = unbounded). Evictions land in the trace.dropped_events counter.
   std::size_t trace_cap = 1u << 19;
-  /// --metrics FILE: dump the merged per-variant registry snapshots as an
-  /// aequus-metrics-dump-v1 JSON document ("-" = stdout; validated by
-  /// bench_gate.py --validate-metrics-dump). The human-readable table is
-  /// printed alongside when writing to a file.
-  std::string metrics_path;
 };
 [[nodiscard]] BenchArgs parse_bench_args(int argc, char** argv, std::size_t fallback_jobs,
                                          std::size_t fallback_replications);
 
-/// A SweepSpec preset for benches: thread/seed overrides applied from the
-/// CLI and determinism fingerprints attached (hashes land in the JSON).
-[[nodiscard]] testbed::SweepSpec make_sweep(std::vector<testbed::SweepVariant> variants,
-                                            const BenchArgs& args);
-
 /// The catalog spec `name` (scenarios/<name>.json) lowered at the bench's
-/// size: args.jobs caps the trace (CompileOptions.max_jobs), --reps and
-/// --seed override the spec's sweep settings only when given, and
-/// --threads picks the worker count. Per-task results are kept for the
-/// charts, and --trace enables tracing as make_sweep() does. The spec,
-/// not the bench, defines the experiment.
+/// size: a job count replaces the spec's workload.jobs (0 keeps it),
+/// --reps and --seed override the spec's sweep settings only when given,
+/// and --threads picks the worker count. Per-task results are kept for
+/// the charts, and --trace enables tracing on each variant's first
+/// replication (a bench that installs its own on_setup chains this one).
+/// The spec, not the bench, defines the experiment.
 [[nodiscard]] scenario::CompiledScenario compile_catalog(const std::string& name,
                                                          const BenchArgs& args);
 
-/// Run `spec`, printing a one-line progress note, and — unless disabled —
-/// a single-threaded reference sweep of the same spec to measure speedup.
-/// `extra` entries (e.g. serial wall time, speedup) are merged into the
-/// report written by write_bench_json().
-struct SweepRun {
-  testbed::SweepResult result;
-  std::map<std::string, double> extra;  ///< serial_wall_seconds, speedup_vs_serial
-};
-[[nodiscard]] SweepRun run_sweep_with_reference(const testbed::SweepSpec& spec,
-                                                const BenchArgs& args);
+/// Run `spec` between two progress lines (task count and threads before,
+/// wall time after).
+[[nodiscard]] testbed::SweepResult run_with_progress(const testbed::SweepSpec& spec);
 
-/// Honour --trace / --metrics on a finished sweep: write the first task's
-/// trace events to args.trace_path (JSON-lines) and/or dump the merged
-/// per-variant metrics snapshots as an aequus-metrics-dump-v1 document
-/// to args.metrics_path. No-op when neither flag was given.
-void report_observability(const BenchArgs& args, const testbed::SweepResult& result);
-
-/// Per-hop delay decomposition from the causal span trees (tracing on,
-/// i.e. --trace given): for each variant's traced replication, rebuild
-/// the span trees with obs::analyze_spans and print, per chain, the
-/// strict per-hop self-time partition — the hop rows sum to the summed
-/// complete-chain durations (verified here to float tolerance, flagged
-/// loudly otherwise). Returns extra scalars for write_bench_json():
+/// The shared output flags of a finished catalog sweep, honoured the same
+/// way by every testbed bench. With --trace: write the first traced
+/// task's events to the trace file as JSON-lines, and print each
+/// variant's per-hop delay decomposition from the causal span trees (the
+/// hop rows partition the summed complete-chain durations; a mismatch is
+/// flagged loudly). Then write BENCH_<spec name>.json into --json-dir:
+/// the header (with the job count that ran), the per-variant aggregates
+/// and merged obs snapshots (testbed::variants_to_json), per-task seeds +
+/// fingerprint hashes, and the trace scalars as extras:
 ///   trace.<variant>.complete_chains / broken_chains / dropped_events
 ///   trace.<variant>.<chain>.mean_s  (mean complete-chain duration)
-/// No-op (empty map) without --trace.
-[[nodiscard]] std::map<std::string, double> report_trace_analysis(
-    const BenchArgs& args, const testbed::SweepSpec& spec, const testbed::SweepResult& result);
+void write_outputs(const BenchArgs& args, const scenario::CompiledScenario& compiled,
+                   const testbed::SweepResult& result);
 
 /// Render the per-variant aggregate table (mean +- 95 % CI per metric).
 void print_aggregates(const testbed::SweepResult& result);
 
-/// Write BENCH_<name>.json into args.json_dir: threads, wall time, the
-/// per-variant aggregates (mean/stddev/CI/min/max per metric), per-task
-/// seeds + fingerprint hashes, and any `extra` scalars. This is the
-/// machine-readable perf trajectory consumed by tools/bench_gate.py.
-void write_bench_json(const std::string& bench_name, const BenchArgs& args,
-                      const testbed::SweepSpec& spec, const testbed::SweepResult& result,
-                      const std::map<std::string, double>& extra = {});
+/// The fields every BENCH_<name>.json report starts with.
+struct BenchHeader {
+  std::string bench;
+  std::size_t jobs = 0;
+  int threads = 1;
+  std::size_t replications = 0;
+  std::uint64_t root_seed = 0;
+  double wall_seconds = 0.0;
+};
+
+/// Write BENCH_<header.bench>.json into `json_dir` (created if missing):
+/// the header fields, schema_version 1, and `body`'s entries. This is the
+/// machine-readable record tools/bench_gate.py reads. Returns false,
+/// after a warning, when the file cannot be written.
+bool write_bench_file(const std::string& json_dir, const BenchHeader& header,
+                      json::Object body);
 
 /// The raw "historical" year trace: paper user mix plus injected
 /// admin/monitoring (~15 % of records) and zero-duration jobs, matching
@@ -134,10 +128,6 @@ void write_bench_json(const std::string& bench_name, const BenchArgs& args,
 /// ("the time stamps from the original trace are limited to second
 /// accuracy").
 [[nodiscard]] long whole_seconds(double seconds);
-
-/// Rescale a scenario's durations so total usage hits target_load of the
-/// (possibly modified) capacity. Used when benches shrink cluster counts.
-void rescale_to_capacity(workload::Scenario& scenario);
 
 /// Pretty banner for bench output.
 void print_banner(const std::string& title, const std::string& paper_reference);

@@ -61,6 +61,16 @@ void apply_sizing(workload::Scenario& scenario, const WorkloadSpec& workload) {
   for (auto& record : scenario.trace.records()) record.duration *= ratio;
 }
 
+/// Fault sites bind to the experiment's "site<N>" names: any other name
+/// would silently never fire, so it fails with its JSON path.
+void check_site_name(const std::string& site, int clusters, const std::string& path) {
+  for (int i = 0; i < clusters; ++i) {
+    if (site == "site" + std::to_string(i)) return;
+  }
+  throw SpecError(util::format("%s: '%s' does not name a testbed site (site0..site%d)",
+                               path.c_str(), site.c_str(), clusters - 1));
+}
+
 net::FaultPlan lower_faults(const FaultSpec& faults, double duration) {
   net::FaultPlan plan;
   plan.loss_rate = faults.loss_rate;
@@ -185,7 +195,18 @@ CompiledScenario compile(const ScenarioSpec& spec, const CompileOptions& options
                                     deep_merge(spec.experiment, variant.experiment));
     if (merged.is_null()) merged = json::Value(json::Object{});
     testbed::ExperimentConfig config = json::decode<testbed::ExperimentConfig>(merged);
-    config.faults = lower_faults(spec.faults, scenario.duration_seconds);
+    const FaultSpec& faults = variant.faults ? *variant.faults : spec.faults;
+    const std::string faults_path = variant.faults ? variant_path + ".faults" : "$.faults";
+    for (std::size_t i = 0; i < faults.outages.size(); ++i) {
+      check_site_name(faults.outages[i].site, scenario.cluster_count,
+                      util::format("%s.outages[%zu].site", faults_path.c_str(), i));
+    }
+    for (std::size_t i = 0; i < faults.link_loss.size(); ++i) {
+      const std::string link_path = util::format("%s.link_loss[%zu]", faults_path.c_str(), i);
+      check_site_name(faults.link_loss[i].from, scenario.cluster_count, link_path + ".from");
+      check_site_name(faults.link_loss[i].to, scenario.cluster_count, link_path + ".to");
+    }
+    config.faults = lower_faults(faults, scenario.duration_seconds);
     for (const OffloadSpec& rule : spec.offloads) {
       if (rule.to_site >= scenario.cluster_count ||
           (rule.from_site >= scenario.cluster_count)) {
@@ -201,15 +222,6 @@ CompiledScenario compile(const ScenarioSpec& spec, const CompileOptions& options
       lowered.end = rule.end * scenario.duration_seconds;
       config.offloads.push_back(lowered);
     }
-    for (const OutageSpec& outage : spec.faults.outages) {
-      // Outage sites are "site<N>" names bound by the experiment; an
-      // unknown name would silently never fire.
-      if (!util::starts_with(outage.site, "site")) {
-        throw SpecError("$.faults.outages: site '" + outage.site +
-                        "' does not name a testbed site (site0..site" +
-                        std::to_string(scenario.cluster_count - 1) + ")");
-      }
-    }
 
     testbed::SweepVariant sweep_variant;
     sweep_variant.name =
@@ -220,7 +232,7 @@ CompiledScenario compile(const ScenarioSpec& spec, const CompileOptions& options
     CompiledVariant meta;
     meta.name = sweep_variant.name;
     meta.duration_seconds = sweep_variant.scenario.duration_seconds;
-    meta.lossless = spec.faults.lossless();
+    meta.lossless = faults.lossless();
     meta.backend = sweep_variant.config.fairshare.backend.name;
     compiled.variants.push_back(std::move(meta));
     compiled.sweep.variants.push_back(std::move(sweep_variant));

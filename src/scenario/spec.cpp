@@ -307,13 +307,17 @@ json::Value parse_experiment(const json::Value& value, const std::string& path) 
   return value;
 }
 
-std::vector<VariantSpec> parse_variants(const json::Value& value, const std::string& path) {
+/// `faults` is the spec's raw "faults" object (null when absent): a
+/// variant's own "faults" object merges over it, and the merged block
+/// decodes with the variant's path in any error.
+std::vector<VariantSpec> parse_variants(const json::Value& value, const std::string& path,
+                                        const json::Value& faults) {
   std::vector<VariantSpec> variants;
   const json::Array& array = as_array(value, path);
   for (std::size_t i = 0; i < array.size(); ++i) {
     const std::string item_path = util::format("%s[%zu]", path.c_str(), i);
     const json::Object& object = as_object(array[i], item_path);
-    reject_unknown_keys(object, item_path, {"name", "scale", "experiment"});
+    reject_unknown_keys(object, item_path, {"name", "scale", "experiment", "faults"});
     VariantSpec variant;
     variant.name = string_or(object, item_path, "name", "");
     if (variant.name.empty()) fail(item_path + ".name", "required non-empty string");
@@ -323,6 +327,9 @@ std::vector<VariantSpec> parse_variants(const json::Value& value, const std::str
     }
     if (const json::Value* experiment = find(object, "experiment")) {
       variant.experiment = parse_experiment(*experiment, item_path + ".experiment");
+    }
+    if (const json::Value* overlay = find(object, "faults")) {
+      variant.faults = parse_faults(deep_merge(faults, *overlay), item_path + ".faults");
     }
     variants.push_back(std::move(variant));
   }
@@ -436,7 +443,9 @@ ScenarioSpec parse_spec(const json::Value& value) {
     spec.experiment = parse_experiment(*experiment, path + ".experiment");
   }
   if (const json::Value* variants = find(object, "variants")) {
-    spec.variants = parse_variants(*variants, path + ".variants");
+    const json::Value* faults = find(object, "faults");
+    spec.variants =
+        parse_variants(*variants, path + ".variants", faults ? *faults : json::Value());
   }
   if (const json::Value* sweep = find(object, "sweep")) {
     spec.sweep = parse_sweep(*sweep, path + ".sweep");

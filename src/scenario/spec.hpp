@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -108,14 +109,19 @@ struct OffloadSpec {
   double end = 1.0;
 };
 
-/// One sweep variant: the base scenario with a time scale and an
+/// One sweep variant: the base scenario with a time scale, an
 /// experiment-config overlay (deep-merged over the spec's "experiment"
-/// object). fig11's x10 cell is `{"name": "x10", "scale": 10,
-/// "experiment": {"sample_interval": 600}}`.
+/// object), and a fault overlay (deep-merged over the spec's "faults"
+/// object the same way). fig11's x10 cell is `{"name": "x10", "scale":
+/// 10, "experiment": {"sample_interval": 600}}`; a fault_recovery cell is
+/// `{"name": "loss_10", "faults": {"loss_rate": 0.1}}`.
 struct VariantSpec {
   std::string name;
   double scale = 1.0;
   json::Value experiment;  ///< object merged over the base experiment
+  /// The merged and decoded fault block when the variant has a "faults"
+  /// key; unset = the spec's faults.
+  std::optional<FaultSpec> faults;
 };
 
 /// Sweep shape: replications per variant and the root seed feeding the

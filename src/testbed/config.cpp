@@ -75,29 +75,49 @@ aequus::testbed::ExperimentConfig aequus::json::Decoder<aequus::testbed::Experim
         t.get_number("uss_retention", config.timings.uss_retention);
   }
   if (const auto fairshare = spec.find("fairshare")) {
+    // The nested objects decode through the lenient core decoders, which
+    // installation configs share (services/config.hpp keeps those
+    // forward-compatible); the experiment schema checks their keys here.
     const auto& f = checked_object(fairshare->get(), "fairshare",
-                                   {"decay", "algorithm", "projection", "backend"});
+                                   {"decay", "algorithm", "projection", "backend",
+                                    "slurm_weights"});
     if (const auto decay = f.find("decay")) {
-      config.fairshare.decay = at_path("fairshare.decay", [&] {
-        return core::Decay::from_json(decay->get()).config();
-      });
+      const auto& d = checked_object(decay->get(), "fairshare.decay",
+                                     {"kind", "half_life", "window"});
+      config.fairshare.decay =
+          at_path("fairshare.decay", [&] { return core::Decay::from_json(d).config(); });
     }
     if (const auto algorithm = f.find("algorithm")) {
+      const auto& a = checked_object(algorithm->get(), "fairshare.algorithm", {"k", "resolution"});
       config.fairshare.algorithm = at_path("fairshare.algorithm", [&] {
-        return json::decode<core::FairshareConfig>(algorithm->get());
+        return json::decode<core::FairshareConfig>(a);
       });
     }
     if (const auto projection = f.find("projection")) {
+      const auto& p = checked_object(projection->get(), "fairshare.projection",
+                                     {"kind", "bits_per_level"});
       config.fairshare.projection = at_path("fairshare.projection", [&] {
-        return json::decode<core::ProjectionConfig>(projection->get());
+        return json::decode<core::ProjectionConfig>(p);
       });
     }
     if (const auto backend = f.find("backend")) {
       // Accepts a bare name ("credit") or the object form with
       // per-policy tuning; unknown names throw here.
+      if (backend->get().is_object()) {
+        (void)checked_object(backend->get(), "fairshare.backend",
+                             {"backend", "credit_refresh_s", "credit_cap"});
+      }
       config.fairshare.backend = at_path("fairshare.backend", [&] {
         return json::decode<core::FairnessBackendConfig>(backend->get());
       });
+    }
+    if (const auto weights = f.find("slurm_weights")) {
+      const auto& w = checked_object(weights->get(), "fairshare.slurm_weights",
+                                     {"fairshare", "age", "max_age"});
+      auto& out = config.fairshare.slurm_weights;
+      out.fairshare = w.get_number("fairshare", out.fairshare);
+      out.age = w.get_number("age", out.age);
+      out.max_age = w.get_number("max_age", out.max_age);
     }
   }
   config.bus_remote_latency = spec.get_number("bus_remote_latency", config.bus_remote_latency);

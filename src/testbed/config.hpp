@@ -10,8 +10,13 @@
 //     "timings": {"service_update_interval": 30, "client_cache_ttl": 30,
 //                 "reprioritize_interval": 30, "uss_bin_width": 600,
 //                 "uss_retention": ...},
-//     "fairshare": {"decay": {...}, "algorithm": {...}, "projection": {...},
-//                   "backend": "aequus" | {...}},
+//     "fairshare": {"decay": {"kind": "half-life", "half_life": 86400,
+//                             "window": 7200},
+//                   "algorithm": {"k": ..., "resolution": ...},
+//                   "projection": {"kind": "percental", "bits_per_level": ...},
+//                   "backend": "aequus" | {"backend": ..., "credit_refresh_s": ...,
+//                                          "credit_cap": ...},
+//                   "slurm_weights": {"fairshare": 1, "age": 0, "max_age": ...}},
 //     "bus_remote_latency": 0.1, "sample_interval": 60,
 //     "record_per_site": false, "drain_seconds": 1800,
 //     "usage_batching": {"enabled": true, "batch_interval": 5, ...},

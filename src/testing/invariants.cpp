@@ -163,39 +163,12 @@ void InvariantChecker::check_priority_monotonicity(double now) {
 
 void InvariantChecker::check_reconvergence() {
   const double now = experiment_.simulator().now();
-  // Only fully participating sites are required to agree: read-only sites
-  // legitimately see extra (their own unshared) usage, local-only sites
-  // legitimately see less.
-  std::vector<const testbed::ClusterSite*> participants;
-  for (const auto& site : experiment_.sites()) {
-    const auto& participation = site->spec().participation;
-    if (participation.contributes && participation.reads_global) {
-      participants.push_back(site.get());
-    }
-  }
-  for (std::size_t i = 0; i < participants.size(); ++i) {
-    for (std::size_t j = i + 1; j < participants.size(); ++j) {
-      auto& a = const_cast<testbed::ClusterSite&>(*participants[i]);
-      auto& b = const_cast<testbed::ClusterSite&>(*participants[j]);
-      const auto& leaves_a = a.aequus().ums().usage_tree().leaves();
-      const auto& leaves_b = b.aequus().ums().usage_tree().leaves();
-      const double scale = std::max(
-          {a.aequus().ums().usage_tree().total(), b.aequus().ums().usage_tree().total(), 1e-9});
-      std::set<std::string> keys;
-      for (const auto& [path, amount] : leaves_a) (void)amount, keys.insert(path);
-      for (const auto& [path, amount] : leaves_b) (void)amount, keys.insert(path);
-      for (const auto& path : keys) {
-        const auto it_a = leaves_a.find(path);
-        const auto it_b = leaves_b.find(path);
-        const double va = it_a != leaves_a.end() ? it_a->second : 0.0;
-        const double vb = it_b != leaves_b.end() ? it_b->second : 0.0;
-        if (std::fabs(va - vb) / scale > options_.convergence_tolerance) {
-          record(now, "view-reconvergence",
-                 util::format("%s vs %s disagree on %s: %.3f vs %.3f (scale %.3f)",
-                              a.name().c_str(), b.name().c_str(), path.c_str(), va, vb,
-                              scale));
-        }
-      }
+  for (const ViewGap& gap : view_gaps(experiment_)) {
+    if (gap.relative() > options_.convergence_tolerance) {
+      record(now, "view-reconvergence",
+             util::format("%s vs %s disagree on %s: %.3f vs %.3f (scale %.3f)",
+                          gap.a->name().c_str(), gap.b->name().c_str(), gap.path.c_str(),
+                          gap.value_a, gap.value_b, gap.scale));
     }
   }
 }
@@ -211,6 +184,38 @@ void InvariantChecker::check_conservation_final() {
            util::format("recorded %.6f core-s != charged %.6f after drain", recorded,
                         completed));
   }
+}
+
+std::vector<ViewGap> view_gaps(testbed::Experiment& experiment) {
+  // Only fully participating sites are required to agree: read-only sites
+  // legitimately see extra (their own unshared) usage, local-only sites
+  // legitimately see less.
+  std::vector<testbed::ClusterSite*> participants;
+  for (const auto& site : experiment.sites()) {
+    const auto& participation = site->spec().participation;
+    if (participation.contributes && participation.reads_global) {
+      participants.push_back(site.get());
+    }
+  }
+  std::vector<ViewGap> gaps;
+  for (std::size_t i = 0; i < participants.size(); ++i) {
+    for (std::size_t j = i + 1; j < participants.size(); ++j) {
+      const core::UsageTree& tree_a = participants[i]->aequus().ums().usage_tree();
+      const core::UsageTree& tree_b = participants[j]->aequus().ums().usage_tree();
+      const double scale = std::max({tree_a.total(), tree_b.total(), 1e-9});
+      std::set<std::string> keys;
+      for (const auto& [path, amount] : tree_a.leaves()) (void)amount, keys.insert(path);
+      for (const auto& [path, amount] : tree_b.leaves()) (void)amount, keys.insert(path);
+      for (const auto& path : keys) {
+        const auto it_a = tree_a.leaves().find(path);
+        const auto it_b = tree_b.leaves().find(path);
+        gaps.push_back({participants[i], participants[j], path,
+                        it_a != tree_a.leaves().end() ? it_a->second : 0.0,
+                        it_b != tree_b.leaves().end() ? it_b->second : 0.0, scale});
+      }
+    }
+  }
+  return gaps;
 }
 
 }  // namespace aequus::testing

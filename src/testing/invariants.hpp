@@ -24,6 +24,7 @@
 // hide later ones; ok()/report() feed the test assertion.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -92,5 +93,28 @@ class InvariantChecker {
   std::vector<Violation> violations_;
   std::uint64_t checks_ = 0;
 };
+
+/// One leaf's disagreement between two fully participating sites'
+/// replicated UMS usage views.
+struct ViewGap {
+  const testbed::ClusterSite* a = nullptr;
+  const testbed::ClusterSite* b = nullptr;
+  std::string path;      ///< usage-tree leaf
+  double value_a = 0.0;  ///< the leaf's usage in a's view (0 when absent)
+  double value_b = 0.0;
+  double scale = 0.0;    ///< max(total of a, total of b, 1e-9)
+
+  /// |value_a - value_b| / scale: the per-leaf disagreement
+  /// check_reconvergence() compares against its tolerance.
+  [[nodiscard]] double relative() const noexcept {
+    return std::fabs(value_a - value_b) / scale;
+  }
+};
+
+/// Every leaf of every pair of fully participating sites (read-only and
+/// local-only sites legitimately disagree), over the union of the two
+/// views' leaves. The worst relative() over time shows the views diverge
+/// during an outage and reconverge after it.
+[[nodiscard]] std::vector<ViewGap> view_gaps(testbed::Experiment& experiment);
 
 }  // namespace aequus::testing

@@ -1,13 +1,29 @@
 // Small string utilities shared across modules (path parsing in policy
-// trees, CSV-ish trace IO, identity names).
+// trees, CSV-ish trace IO, identity names, command-line numbers).
 #pragma once
 
+#include <charconv>
 #include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace aequus::util {
+
+/// Parse a whole command-line value as a number. Trailing garbage
+/// ("80x0") or an empty value fails with "<flag>: invalid number '<text>'"
+/// on stderr, and so does a sign on an unsigned count: a prefix parse
+/// would silently run with a different value, or none.
+template <typename T>
+[[nodiscard]] bool parse_number(const std::string& flag, const char* text, T& out) {
+  const char* end = text + std::strlen(text);
+  const auto [stop, error] = std::from_chars(text, end, out);
+  if (error == std::errc{} && stop == end && stop != text) return true;
+  std::fprintf(stderr, "%s: invalid number '%s'\n", flag.c_str(), text);
+  return false;
+}
 
 /// Split `input` on `delimiter`, keeping empty fields.
 [[nodiscard]] std::vector<std::string> split(std::string_view input, char delimiter);

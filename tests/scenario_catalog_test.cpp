@@ -43,7 +43,19 @@ TEST(ScenarioCatalog, ShipsAtLeastEightSpecsWithUniqueMatchingNames) {
 TEST(ScenarioCatalog, CoversTheModifierMatrix) {
   // The catalog is only a regression net if the DSL features all appear.
   bool phases = false, churn = false, offloads = false, outages = false, loss = false,
-       variants = false;
+       variants = false, variant_faults = false, participation = false;
+  // A "sites" override switching a site's contribution or global reads off.
+  const auto overrides_participation = [](const json::Value& experiment) {
+    const auto sites = experiment.is_object() ? experiment.find("sites") : std::nullopt;
+    if (!sites) return false;
+    for (const auto& [index, site] : sites->get().as_object()) {
+      (void)index;
+      if (!site.get_bool("contributes", true) || !site.get_bool("reads_global", true)) {
+        return true;
+      }
+    }
+    return false;
+  };
   for (const std::string& path : list_catalog()) {
     const ScenarioSpec spec = load_spec_file(path);
     phases = phases || !spec.phases.empty();
@@ -52,6 +64,11 @@ TEST(ScenarioCatalog, CoversTheModifierMatrix) {
     outages = outages || !spec.faults.outages.empty();
     loss = loss || spec.faults.loss_rate > 0.0 || spec.faults.duplicate_rate > 0.0;
     variants = variants || !spec.variants.empty();
+    participation = participation || overrides_participation(spec.experiment);
+    for (const VariantSpec& variant : spec.variants) {
+      variant_faults = variant_faults || variant.faults.has_value();
+      participation = participation || overrides_participation(variant.experiment);
+    }
   }
   EXPECT_TRUE(phases) << "no spec exercises phase schedules";
   EXPECT_TRUE(churn) << "no spec exercises user churn";
@@ -59,6 +76,8 @@ TEST(ScenarioCatalog, CoversTheModifierMatrix) {
   EXPECT_TRUE(outages) << "no spec exercises site outages";
   EXPECT_TRUE(loss) << "no spec exercises message loss/duplication";
   EXPECT_TRUE(variants) << "no spec exercises sweep variants";
+  EXPECT_TRUE(variant_faults) << "no spec exercises variant-level faults";
+  EXPECT_TRUE(participation) << "no spec exercises a site participation override";
 }
 
 TEST(ScenarioCatalog, ShipsTheIngestCadenceSweep) {

@@ -29,6 +29,17 @@ void expect_error(const std::string& text, const std::string& needle) {
   }
 }
 
+/// Compile `text` and expect a SpecError whose message contains `needle`.
+void expect_compile_error(const std::string& text, const std::string& needle) {
+  try {
+    (void)compile(parse_spec_text(text));
+    FAIL() << "expected a compile SpecError mentioning '" << needle << "' for: " << text;
+  } catch (const SpecError& error) {
+    EXPECT_NE(std::string(error.what()).find(needle), std::string::npos)
+        << "error was: " << error.what();
+  }
+}
+
 // --- decoding: defaults and full round trip -----------------------------
 
 TEST(ScenarioSpecDecode, MinimalSpecGetsDefaults) {
@@ -186,6 +197,86 @@ TEST(ScenarioSpecDecode, NestedExperimentTyposRejected) {
                "$.variants[0].experiment.usage_batching.intervall: unknown key");
   expect_error(R"({"name": "x", "experiment": {"dispatch": "magic"}})",
                "$.experiment.dispatch: unknown dispatch policy 'magic'");
+  // The fairshare sub-objects decode through the lenient core decoders
+  // installation configs share; the experiment schema checks their keys.
+  expect_error(R"({"name": "x", "experiment": {"fairshare": {"decay": {"halflife": 60}}}})",
+               "$.experiment.fairshare.decay.halflife: unknown key");
+  expect_error(R"({"name": "x", "experiment": {"fairshare": {"projection": {"bits": 4}}}})",
+               "$.experiment.fairshare.projection.bits: unknown key");
+  expect_error(
+      R"({"name": "x", "experiment": {"fairshare": {"algorithm": {"resolutoin": 8}}}})",
+      "$.experiment.fairshare.algorithm.resolutoin: unknown key");
+  expect_error(R"({"name": "x", "experiment": {"fairshare": {"backend":
+                   {"backend": "credit", "credit_caps": 2}}}})",
+               "$.experiment.fairshare.backend.credit_caps: unknown key");
+  expect_error(R"({"name": "x", "variants": [{"name": "y", "experiment":
+                   {"fairshare": {"decay": []}}}]})",
+               "$.variants[0].experiment.fairshare.decay: expected an object");
+  EXPECT_NO_THROW((void)parse_spec_text(R"({"name": "x", "experiment": {"fairshare": {
+      "decay": {"kind": "window", "half_life": 0, "window": 7200},
+      "projection": {"kind": "bitwise", "bits_per_level": 4},
+      "algorithm": {"k": 0.5, "resolution": 8},
+      "backend": "credit"}}})"));
+}
+
+TEST(ScenarioSpecDecode, SlurmWeightsDecodeStrictly) {
+  const ScenarioSpec spec = parse_spec_text(R"({"name": "x", "workload": {"jobs": 50},
+      "experiment": {"fairshare": {"slurm_weights": {"fairshare": 2, "max_age": 3600}}},
+      "variants": [{"name": "aged", "experiment": {"fairshare": {"slurm_weights":
+                     {"age": 0.5}}}},
+                   {"name": "plain"}]})");
+  const CompiledScenario compiled = compile(spec);
+  const slurm::MultifactorWeights& aged =
+      compiled.sweep.variants.at(0).config.fairshare.slurm_weights;
+  EXPECT_EQ(aged.fairshare, 2.0) << "the spec's weights merge under the variant's";
+  EXPECT_EQ(aged.max_age, 3600.0);
+  EXPECT_EQ(aged.age, 0.5);
+  const slurm::MultifactorWeights& plain =
+      compiled.sweep.variants.at(1).config.fairshare.slurm_weights;
+  EXPECT_EQ(plain.age, slurm::MultifactorWeights{}.age);
+  EXPECT_EQ(plain.fairshare, 2.0);
+
+  expect_error(R"({"name": "x", "experiment": {"fairshare": {"slurm_weights": {"agee": 1}}}})",
+               "$.experiment.fairshare.slurm_weights.agee: unknown key");
+  expect_error(R"({"name": "x", "experiment": {"fairshare": {"slurm_weights": 1}}})",
+               "$.experiment.fairshare.slurm_weights: expected an object");
+}
+
+TEST(ScenarioSpecDecode, VariantFaultsMergeOverTheSpecBlock) {
+  const ScenarioSpec spec = parse_spec_text(R"({"name": "x", "workload": {"jobs": 50},
+      "faults": {"seed": 5, "loss_rate": 0.1,
+                 "outages": [{"site": "site1", "start": 0.25, "end": 0.5}]},
+      "variants": [{"name": "lossier", "faults": {"loss_rate": 0.4}},
+                   {"name": "inherits"}]})");
+  ASSERT_TRUE(spec.variants[0].faults.has_value());
+  EXPECT_EQ(spec.variants[0].faults->loss_rate, 0.4);
+  EXPECT_EQ(spec.variants[0].faults->seed, 5u) << "unset keys come from the spec's block";
+  ASSERT_EQ(spec.variants[0].faults->outages.size(), 1u);
+  EXPECT_FALSE(spec.variants[1].faults.has_value());
+
+  const CompiledScenario compiled = compile(spec);
+  const net::FaultPlan& lossier = compiled.sweep.variants.at(0).config.faults;
+  const net::FaultPlan& inherits = compiled.sweep.variants.at(1).config.faults;
+  const double duration = compiled.variants.at(0).duration_seconds;
+  EXPECT_EQ(lossier.loss_rate, 0.4);
+  EXPECT_EQ(lossier.seed, 5u);
+  ASSERT_EQ(lossier.outages.size(), 1u);
+  EXPECT_EQ(lossier.outages[0].start, 0.25 * duration);
+  EXPECT_EQ(inherits.loss_rate, 0.1);
+  EXPECT_EQ(inherits.outages.size(), 1u);
+}
+
+TEST(ScenarioSpecDecode, VariantOnlyFaultsLowerPerVariant) {
+  const ScenarioSpec spec = parse_spec_text(R"({"name": "x", "workload": {"jobs": 50},
+      "variants": [{"name": "lossy", "faults": {"loss_rate": 0.2, "duplicate_rate": 0.1}},
+                   {"name": "clean"}]})");
+  EXPECT_TRUE(spec.faults.lossless());
+  const CompiledScenario compiled = compile(spec);
+  EXPECT_EQ(compiled.sweep.variants.at(0).config.faults.loss_rate, 0.2);
+  EXPECT_EQ(compiled.sweep.variants.at(0).config.faults.duplicate_rate, 0.1);
+  EXPECT_FALSE(compiled.variants.at(0).lossless) << "conservation=auto must skip it";
+  EXPECT_FALSE(compiled.sweep.variants.at(1).config.faults.active());
+  EXPECT_TRUE(compiled.variants.at(1).lossless);
 }
 
 TEST(ScenarioSpecDecode, DeadExperimentKeysRejected) {
@@ -216,6 +307,14 @@ TEST(ScenarioSpecDecode, VariantValidation) {
   expect_error(R"({"name": "x", "variants": [{"name": "y",
                                               "experiment": {"wrong": 1}}]})",
                "$.variants[0].experiment.wrong: unknown key");
+  // A variant's faults block decodes merged, with the variant's path.
+  expect_error(R"({"name": "x", "variants": [{"name": "y", "faults": {"loss_rate": 2}}]})",
+               "$.variants[0].faults.loss_rate: probability 2 out of range");
+  expect_error(R"({"name": "x", "faults": {"seed": 3},
+                   "variants": [{"name": "y", "faults": {"los_rate": 0.1}}]})",
+               "$.variants[0].faults.los_rate: unknown key");
+  expect_error(R"({"name": "x", "variants": [{"name": "y", "faults": [0.1]}]})",
+               "$.variants[0].faults: expected an object");
 }
 
 TEST(ScenarioSpecDecode, GateValidation) {
@@ -410,11 +509,37 @@ TEST(Compile, UnknownBaseWorkloadThrows) {
   }
 }
 
-TEST(Compile, UnknownOutageSiteNameThrows) {
-  const ScenarioSpec spec = parse_spec_text(
+TEST(Compile, FaultSitesMustNameARealSite) {
+  // Fault sites bind to the experiment's "site<N>" names; any other name,
+  // "site"-prefixed or not, would silently never fire.
+  expect_compile_error(
       R"({"name": "x", "workload": {"jobs": 50},
-          "faults": {"outages": [{"site": "cluster-one", "start": 0.1, "end": 0.2}]}})");
-  EXPECT_THROW((void)compile(spec), SpecError);
+          "faults": {"outages": [{"site": "cluster-one", "start": 0.1, "end": 0.2}]}})",
+      "$.faults.outages[0].site: 'cluster-one' does not name a testbed site");
+  expect_compile_error(
+      R"({"name": "x", "workload": {"jobs": 50},
+          "faults": {"outages": [{"site": "site9", "start": 0.1, "end": 0.2}]}})",
+      "$.faults.outages[0].site: 'site9' does not name a testbed site (site0..site5)");
+  expect_compile_error(
+      R"({"name": "x", "workload": {"jobs": 50},
+          "faults": {"link_loss": [{"from": "stie0", "to": "site1", "rate": 0.9}]}})",
+      "$.faults.link_loss[0].from: 'stie0' does not name a testbed site");
+  expect_compile_error(
+      R"({"name": "x", "workload": {"jobs": 50},
+          "faults": {"link_loss": [{"from": "site0", "to": "site6", "rate": 0.9}]}})",
+      "$.faults.link_loss[0].to: 'site6'");
+  // The bound follows the variant's cluster count, and a variant's own
+  // block reports under its path.
+  expect_compile_error(
+      R"({"name": "x", "workload": {"jobs": 50, "clusters": 3},
+          "variants": [{"name": "y", "faults": {"outages":
+                         [{"site": "site3", "start": 0.1, "end": 0.2}]}}]})",
+      "$.variants[y].faults.outages[0].site: 'site3' does not name a testbed site "
+      "(site0..site2)");
+  EXPECT_NO_THROW((void)compile(parse_spec_text(
+      R"({"name": "x", "workload": {"jobs": 50, "clusters": 3},
+          "faults": {"outages": [{"site": "site2", "start": 0.1, "end": 0.2}],
+                     "link_loss": [{"from": "site0", "to": "site2", "rate": 0.5}]}})")));
 }
 
 }  // namespace

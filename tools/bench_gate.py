@@ -25,8 +25,8 @@ A third mode schema-checks scenario reports without gating any values:
 
   bench_gate.py --validate-scenario-report ./build/scenario-report.json
 
-A fourth mode schema-checks the metrics dumps benches and scenario_run
-emit via --metrics FILE (aequus-metrics-dump-v1):
+A fourth mode schema-checks the metrics dumps scenario_run emits via
+--metrics FILE (aequus-metrics-dump-v1):
 
   bench_gate.py --validate-metrics-dump ./build/metrics.json
 
@@ -352,8 +352,8 @@ def _is_count(value) -> bool:
 def validate_metrics_dump(document) -> list[str]:
     """Schema check for aequus-metrics-dump-v1 documents.
 
-    These are the registry snapshot exports behind --metrics FILE (benches
-    and tools/scenario_run alike). Counters must be non-negative integers,
+    These are the registry snapshot exports behind tools/scenario_run
+    --metrics FILE. Counters must be non-negative integers,
     gauges numeric, and histogram bucket counts must be consistent: one
     overflow bucket beyond the bounds, and the scalar count equal to the
     bucket sum.

@@ -37,9 +37,7 @@
 // without touching the invocation.
 //
 // Exit status: 0 all gates passed, 1 a gate failed, 2 usage/spec error.
-#include <charconv>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -47,6 +45,7 @@
 #include "core/backend.hpp"
 #include "scenario/catalog.hpp"
 #include "scenario/runner.hpp"
+#include "util/strings.hpp"
 
 using namespace aequus;
 
@@ -73,18 +72,6 @@ int usage(const char* argv0) {
   return 2;
 }
 
-/// Parse a whole argument as a number. Trailing garbage ("80x0") or an
-/// empty value is a usage error, and so is a sign on a count: a prefix
-/// parse would silently run with a different cap, or none.
-template <typename T>
-bool parse_number(const std::string& flag, const char* text, T& out) {
-  const char* end = text + std::strlen(text);
-  const auto [stop, error] = std::from_chars(text, end, out);
-  if (error == std::errc{} && stop == end && stop != text) return true;
-  std::fprintf(stderr, "%s: invalid number '%s'\n", flag.c_str(), text);
-  return false;
-}
-
 bool parse_args(int argc, char** argv, CliArgs& args) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -93,16 +80,16 @@ bool parse_args(int argc, char** argv, CliArgs& args) {
     if (arg == "--list") args.list = true;
     else if (arg == "--catalog") args.catalog = value();
     else if (arg == "--jobs-scale") {
-      if (!parse_number(arg, value(), args.compile.jobs_scale)) return false;
+      if (!util::parse_number(arg, value(), args.compile.jobs_scale)) return false;
     } else if (arg == "--max-jobs") {
-      if (!parse_number(arg, value(), args.compile.max_jobs)) return false;
+      if (!util::parse_number(arg, value(), args.compile.max_jobs)) return false;
     } else if (arg == "--time-scale") {
-      if (!parse_number(arg, value(), args.compile.time_scale)) return false;
+      if (!util::parse_number(arg, value(), args.compile.time_scale)) return false;
     } else if (arg == "--threads") {
-      if (!parse_number(arg, value(), threads)) return false;
+      if (!util::parse_number(arg, value(), threads)) return false;
       args.run.threads = static_cast<int>(threads);
     } else if (arg == "--reps") {
-      if (!parse_number(arg, value(), args.compile.replications)) return false;
+      if (!util::parse_number(arg, value(), args.compile.replications)) return false;
     } else if (arg == "--backend") {
       args.backend = value();
     } else if (arg == "--no-determinism") {
